@@ -6,8 +6,25 @@
 //! two endpoints across a configurable duplex link and pumps the
 //! simulation — the standard harness for every pairwise protocol in this
 //! crate.
+//!
+//! This module also holds the crate's **one** single-session pump: an
+//! event-at-a-time loop over [`Simulator::step_ref`] that hands each
+//! event to a [`Dispatch`] session and applies every fault boundary the
+//! event crossed. [`Duplex::run`], [`drive_duplex`], the
+//! [`SuiteDriver`] and the golden recorder all run on it; the batched
+//! multiplexer ([`crate::multiplex`]) shares its dispatch step, its
+//! fault-boundary step and its result fold.
+//!
+//! [`drive_duplex`]: crate::scenario::drive_duplex
+//! [`SuiteDriver`]: crate::scenario::SuiteDriver
 
-use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, SimCore, Simulator, Tick, TimerToken};
+use netdsl_netsim::scenario::{
+    apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario, ScenarioResult,
+};
+use netdsl_netsim::{
+    EventRef, LinkConfig, LinkId, LinkStats, NodeId, SessionId, SimCore, Simulator, Tick,
+    TimerToken,
+};
 
 /// I/O capabilities handed to an endpoint during a callback.
 #[derive(Debug)]
@@ -18,10 +35,9 @@ pub struct Io<'a> {
 }
 
 impl<'a> Io<'a> {
-    /// Builds the handle for one endpoint callback. Crate-internal: the
-    /// pump loops ([`Duplex`], [`crate::multiplex`]) wrap every dispatch
-    /// in one of these.
-    pub(crate) fn new(sim: &'a mut Simulator, node: NodeId, out_link: LinkId) -> Io<'a> {
+    /// Builds the handle for one endpoint callback; every dispatch the
+    /// pumps make goes through one of these.
+    fn new(sim: &'a mut Simulator, node: NodeId, out_link: LinkId) -> Io<'a> {
         Io {
             sim,
             node,
@@ -111,16 +127,59 @@ pub trait Endpoint {
     fn reset(&mut self) {}
 }
 
+/// The dispatch half of a two-endpoint session: every callback a pump
+/// makes, addressed by side ([`FaultNode::A`] is the sender, which
+/// transmits on the A→B link; [`FaultNode::B`] the receiver).
+pub trait Dispatch {
+    /// Kicks off one endpoint (called before any event, and again after
+    /// a crash-restart).
+    fn start(&mut self, side: FaultNode, io: &mut Io<'_>);
+    /// A frame arrived at one endpoint.
+    fn frame(&mut self, side: FaultNode, frame: &[u8], io: &mut Io<'_>);
+    /// A timer fired on one endpoint's node.
+    fn timer(&mut self, side: FaultNode, token: TimerToken, io: &mut Io<'_>);
+    /// Total state loss on one endpoint (see [`Endpoint::reset`]).
+    fn reset(&mut self, side: FaultNode);
+    /// `true` once both endpoints need no more events.
+    fn done(&self) -> bool;
+}
+
+impl<A: Endpoint, B: Endpoint> Dispatch for (A, B) {
+    fn start(&mut self, side: FaultNode, io: &mut Io<'_>) {
+        match side {
+            FaultNode::A => self.0.start(io),
+            FaultNode::B => self.1.start(io),
+        }
+    }
+    fn frame(&mut self, side: FaultNode, frame: &[u8], io: &mut Io<'_>) {
+        match side {
+            FaultNode::A => self.0.on_frame(frame, io),
+            FaultNode::B => self.1.on_frame(frame, io),
+        }
+    }
+    fn timer(&mut self, side: FaultNode, token: TimerToken, io: &mut Io<'_>) {
+        match side {
+            FaultNode::A => self.0.on_timer(token, io),
+            FaultNode::B => self.1.on_timer(token, io),
+        }
+    }
+    fn reset(&mut self, side: FaultNode) {
+        match side {
+            FaultNode::A => self.0.reset(),
+            FaultNode::B => self.1.reset(),
+        }
+    }
+    fn done(&self) -> bool {
+        self.0.done() && self.1.done()
+    }
+}
+
 /// Two endpoints joined by a duplex link, plus the pump loop.
 #[derive(Debug)]
 pub struct Duplex<A, B> {
     sim: Simulator,
-    a: A,
-    b: B,
-    node_a: NodeId,
-    node_b: NodeId,
-    link_ab: LinkId,
-    link_ba: LinkId,
+    ends: (A, B),
+    world: FaultWorld,
 }
 
 impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
@@ -134,51 +193,42 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// cores replay each other bit-identically; `Legacy` is the E13
     /// measurement baseline).
     pub fn with_core(seed: u64, config: LinkConfig, core: SimCore, a: A, b: B) -> Self {
-        let mut sim = Simulator::with_core(seed, core);
-        let node_a = sim.add_node();
-        let node_b = sim.add_node();
-        let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, config);
+        let (sim, world) = duplex_world(seed, config, core);
         Duplex {
             sim,
-            a,
-            b,
-            node_a,
-            node_b,
-            link_ab,
-            link_ba,
+            ends: (a, b),
+            world,
         }
     }
 
     /// Runs until both endpoints report done, the simulation quiesces, or
     /// `deadline` ticks elapse. Returns the tick at which pumping stopped.
     pub fn run(&mut self, deadline: Tick) -> Tick {
-        {
-            let mut io = Io {
-                sim: &mut self.sim,
-                node: self.node_a,
-                out_link: self.link_ab,
-            };
-            self.a.start(&mut io);
-        }
-        {
-            let mut io = Io {
-                sim: &mut self.sim,
-                node: self.node_b,
-                out_link: self.link_ba,
-            };
-            self.b.start(&mut io);
-        }
+        start(&mut self.sim, &self.world, &mut self.ends);
         self.resume(deadline)
+    }
+
+    /// Continues pumping without re-running `start` (for staged runs
+    /// around a mid-session reconfiguration). Semantics otherwise match
+    /// [`Duplex::run`].
+    pub fn resume(&mut self, deadline: Tick) -> Tick {
+        pump(&mut self.sim, &self.world, &mut self.ends, &[], deadline)
+    }
+
+    /// Runs `scenario` on this (freshly built) world — see
+    /// [`run_scenario`].
+    pub(crate) fn run_scenario(&mut self, scenario: &Scenario) -> Tick {
+        run_scenario(scenario, &mut self.sim, &self.world, &mut self.ends)
     }
 
     /// The left endpoint.
     pub fn a(&self) -> &A {
-        &self.a
+        &self.ends.0
     }
 
     /// The right endpoint.
     pub fn b(&self) -> &B {
-        &self.b
+        &self.ends.1
     }
 
     /// The simulator (for link statistics after a run).
@@ -196,113 +246,228 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// callers can move results (e.g. a receiver's delivered payloads)
     /// out instead of copying them.
     pub fn into_parts(self) -> (A, B, Simulator) {
-        (self.a, self.b, self.sim)
-    }
-
-    /// Continues pumping without re-running `start` (for staged runs
-    /// around a mid-session reconfiguration). Semantics otherwise match
-    /// [`Duplex::run`].
-    pub fn resume(&mut self, deadline: Tick) -> Tick {
-        // Frames are pumped through the handle path: the payload buffer
-        // is detached from the arena (a move, not a copy), handed to
-        // the endpoint by reference, and recycled afterwards — zero
-        // allocation in steady state on the pooled core. The legacy
-        // core drops the buffer instead, reproducing the pre-arena
-        // engine's per-frame free.
-        let recycle = self.sim.core() == SimCore::Pooled;
-        while !(self.a.done() && self.b.done()) {
-            if self.sim.now() > deadline {
-                break;
-            }
-            let Some(event) = self.sim.step_ref() else {
-                break;
-            };
-            match event {
-                EventRef::Frame { node, payload, .. } => {
-                    let frame = self.sim.detach_payload(payload);
-                    if node == self.node_a {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_a,
-                            out_link: self.link_ab,
-                        };
-                        self.a.on_frame(&frame, &mut io);
-                    } else {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_b,
-                            out_link: self.link_ba,
-                        };
-                        self.b.on_frame(&frame, &mut io);
-                    }
-                    if recycle {
-                        self.sim.recycle_payload(frame);
-                    }
-                }
-                EventRef::Timer { node, token } => {
-                    if node == self.node_a {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_a,
-                            out_link: self.link_ab,
-                        };
-                        self.a.on_timer(token, &mut io);
-                    } else {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_b,
-                            out_link: self.link_ba,
-                        };
-                        self.b.on_timer(token, &mut io);
-                    }
-                }
-            }
-        }
-        self.sim.now()
-    }
-
-    /// The duplex world's fault coordinates, for
-    /// [`netdsl_netsim::apply_fault`].
-    pub fn fault_world(&self) -> netdsl_netsim::FaultWorld {
-        netdsl_netsim::FaultWorld {
-            node_a: self.node_a,
-            node_b: self.node_b,
-            link_ab: self.link_ab,
-            link_ba: self.link_ba,
-        }
-    }
-
-    /// Restarts endpoint A after a crash: total protocol state loss
-    /// ([`Endpoint::reset`]) followed by a fresh [`Endpoint::start`].
-    pub fn restart_a(&mut self) {
-        self.a.reset();
-        let mut io = Io {
-            sim: &mut self.sim,
-            node: self.node_a,
-            out_link: self.link_ab,
-        };
-        self.a.start(&mut io);
-    }
-
-    /// Restarts endpoint B after a crash (see [`Duplex::restart_a`]).
-    pub fn restart_b(&mut self) {
-        self.b.reset();
-        let mut io = Io {
-            sim: &mut self.sim,
-            node: self.node_b,
-            out_link: self.link_ba,
-        };
-        self.b.start(&mut io);
+        (self.ends.0, self.ends.1, self.sim)
     }
 
     /// The A→B link id (for stats lookups).
     pub fn link_ab(&self) -> LinkId {
-        self.link_ab
+        self.world.link_ab
     }
 
     /// The B→A link id.
     pub fn link_ba(&self) -> LinkId {
-        self.link_ba
+        self.world.link_ba
+    }
+}
+
+/// Adds one duplex session's node pair and links to `sim`: A's data
+/// link `link_ab`, B's ack link `link_ba`, both drawing impairments from
+/// `session`'s RNG stream. The solo and multiplexed drivers wire every
+/// session this way.
+pub(crate) fn wire(sim: &mut Simulator, session: SessionId, config: LinkConfig) -> FaultWorld {
+    let node_a = sim.add_node_for(session);
+    let node_b = sim.add_node_for(session);
+    let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, config);
+    FaultWorld {
+        node_a,
+        node_b,
+        link_ab,
+        link_ba,
+    }
+}
+
+/// A fresh single-session simulator on `core`, wired as one duplex
+/// session (session 0).
+pub(crate) fn duplex_world(
+    seed: u64,
+    config: LinkConfig,
+    core: SimCore,
+) -> (Simulator, FaultWorld) {
+    let mut sim = Simulator::with_core(seed, core);
+    let session = sim.default_session();
+    let world = wire(&mut sim, session, config);
+    (sim, world)
+}
+
+/// The I/O handle of one side of `world`.
+fn io<'a>(sim: &'a mut Simulator, world: &FaultWorld, side: FaultNode) -> Io<'a> {
+    let out_link = match side {
+        FaultNode::A => world.link_ab,
+        FaultNode::B => world.link_ba,
+    };
+    Io::new(sim, world.node(side), out_link)
+}
+
+/// Starts both endpoints, A first — before any event is popped.
+pub(crate) fn start<D: Dispatch + ?Sized>(sim: &mut Simulator, world: &FaultWorld, d: &mut D) {
+    d.start(FaultNode::A, &mut io(sim, world, FaultNode::A));
+    d.start(FaultNode::B, &mut io(sim, world, FaultNode::B));
+}
+
+/// Hands one popped event to the endpoint on its node's side. A frame's
+/// payload buffer is detached from the arena (a move, not a copy), lent
+/// to the endpoint, and recycled afterwards — zero allocation in steady
+/// state on the pooled core. The legacy core drops the buffer instead,
+/// reproducing the pre-arena engine's per-frame free.
+pub(crate) fn dispatch<D: Dispatch + ?Sized>(
+    sim: &mut Simulator,
+    world: &FaultWorld,
+    d: &mut D,
+    event: EventRef,
+) {
+    let side_of = |node: NodeId| {
+        if node == world.node_a {
+            FaultNode::A
+        } else {
+            FaultNode::B
+        }
+    };
+    match event {
+        EventRef::Frame { node, payload, .. } => {
+            let frame = sim.detach_payload(payload);
+            let side = side_of(node);
+            d.frame(side, &frame, &mut io(sim, world, side));
+            if sim.core() == SimCore::Pooled {
+                sim.recycle_payload(frame);
+            }
+        }
+        EventRef::Timer { node, token } => {
+            let side = side_of(node);
+            d.timer(side, token, &mut io(sim, world, side));
+        }
+    }
+}
+
+/// Applies every fault whose boundary the last dispatched event crossed
+/// — strictly `at < now`: a fault lands after the first event *past*
+/// its tick, which is deterministic and indistinguishable from it
+/// landing a tick later. A restart re-launches the endpoint from
+/// scratch ([`Dispatch::reset`] then [`Dispatch::start`]). `next` is the
+/// index of the first fault still pending.
+pub(crate) fn apply_faults<D: Dispatch + ?Sized>(
+    sim: &mut Simulator,
+    world: &FaultWorld,
+    d: &mut D,
+    faults: &[PlannedFault],
+    next: &mut usize,
+) {
+    while let Some(fault) = faults.get(*next) {
+        if fault.at >= sim.now() {
+            break;
+        }
+        if let Some(side) = apply_fault(sim, world, fault) {
+            d.reset(side);
+            d.start(side, &mut io(sim, world, side));
+        }
+        *next += 1;
+    }
+}
+
+/// The single-session pump: pops one event at a time, dispatches it,
+/// and applies the fault boundaries it crossed, until both endpoints
+/// are done, the event queue drains, or an event lands past `deadline`
+/// (exactly one event past the boundary is dispatched). Returns the
+/// tick at which pumping stopped.
+///
+/// A fault scheduled after the session's last event never lands: when
+/// the pump stops without an event crossing a fault's boundary, that
+/// fault and every later one are discarded — the same rule the
+/// multiplexed driver applies when it closes a finished session with
+/// faults still pending.
+pub(crate) fn pump<D: Dispatch + ?Sized>(
+    sim: &mut Simulator,
+    world: &FaultWorld,
+    d: &mut D,
+    faults: &[PlannedFault],
+    deadline: Tick,
+) -> Tick {
+    let mut next = 0;
+    while !d.done() && sim.now() <= deadline {
+        let Some(event) = sim.step_ref() else {
+            break;
+        };
+        dispatch(sim, world, d, event);
+        apply_faults(sim, world, d, faults, &mut next);
+    }
+    sim.now()
+}
+
+/// `scenario`'s expanded fault schedule, pre-filtered to `at <
+/// deadline` (a fault at or past the deadline can never influence a
+/// dispatched event).
+pub(crate) fn planned_faults(scenario: &Scenario) -> Vec<PlannedFault> {
+    let mut faults = FaultPlan::from_scenario(scenario).actions;
+    faults.retain(|f| f.at < scenario.deadline);
+    faults
+}
+
+/// Runs one scenario's session on its freshly wired world: installs
+/// the scenario's telemetry, starts both endpoints and pumps through the
+/// fault schedule up to the deadline. Returns the tick at which pumping
+/// stopped.
+pub(crate) fn run_scenario<D: Dispatch + ?Sized>(
+    scenario: &Scenario,
+    sim: &mut Simulator,
+    world: &FaultWorld,
+    d: &mut D,
+) -> Tick {
+    sim.set_obs(scenario.protocol.obs);
+    let faults = planned_faults(scenario);
+    on_core(scenario.protocol.sim_core, || {
+        start(sim, world, d);
+        pump(sim, world, d, &faults, scenario.deadline)
+    })
+}
+
+/// Runs `body` (a scenario's start phase and pump) with the checksum
+/// engine `core` calls for. A legacy-core run is a measurement baseline:
+/// it reconstructs the whole pre-simcore hot path, including the
+/// byte-at-a-time checksum engine the optimised one is property-tested
+/// against. Checksum values are identical either way, so results never
+/// depend on the mode.
+pub(crate) fn on_core<T>(core: SimCore, body: impl FnOnce() -> T) -> T {
+    let restore_fast_path =
+        core == SimCore::Legacy && !netdsl_wire::checksum::set_reference_mode(true);
+    let out = body();
+    if restore_fast_path {
+        netdsl_wire::checksum::set_reference_mode(false);
+    }
+    out
+}
+
+/// Folds a finished session into the driver-independent result shape —
+/// the one fold every driver shares. `outcome` is `(sender_succeeded,
+/// frames_sent, retransmissions)`; `link` holds the session's link
+/// counters.
+pub(crate) fn fold(
+    core: SimCore,
+    elapsed: Tick,
+    outcome: (bool, u64, u64),
+    offered: &[Vec<u8>],
+    delivered: &[Vec<u8>],
+    link: LinkStats,
+) -> ScenarioResult {
+    // The legacy core is the measurement baseline for the whole
+    // pre-simcore path, which cloned the offered and delivered message
+    // lists once per scenario; reproduce those copies so E13 compares
+    // like against like. The pooled path compares borrowed slices.
+    let copies;
+    let (offered, delivered) = if core == SimCore::Legacy {
+        copies = (offered.to_vec(), delivered.to_vec());
+        (&copies.0[..], &copies.1[..])
+    } else {
+        (offered, delivered)
+    };
+    let (sender_succeeded, frames_sent, retransmissions) = outcome;
+    ScenarioResult {
+        success: sender_succeeded && delivered == offered,
+        elapsed,
+        messages_offered: offered.len() as u64,
+        messages_delivered: delivered.len() as u64,
+        payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
+        frames_sent,
+        retransmissions,
+        link,
     }
 }
 

@@ -19,7 +19,9 @@
 //!   as the error-handling-LoC comparator (§1: "50% or more of the
 //!   code…"), behaviourally equivalent to [`arq`];
 //! * [`driver`] — the event-loop harness connecting endpoints to the
-//!   simulator;
+//!   simulator, including the one single-session pump;
+//! * [`registry`] — the one place that maps a protocol name to its
+//!   endpoints, refusals and observation probes;
 //! * [`scenario`] — the [`SuiteDriver`](scenario::SuiteDriver) that
 //!   plugs this whole suite into declarative
 //!   [`netdsl_netsim::campaign`] sweeps;
@@ -42,6 +44,7 @@ pub mod golden;
 pub mod handshake;
 pub mod ipv4;
 pub mod multiplex;
+pub mod registry;
 pub mod scenario;
 pub mod sr;
 pub mod tftp;

@@ -11,6 +11,12 @@
 //! event queue are shared. One [`Simulator::drain_tick`] then serves
 //! every session with events due at that tick.
 //!
+//! This module also holds [`run_session_stepped`], the solo driver's
+//! and the golden recorder's runner: one session on its own simulator,
+//! pumped event-at-a-time. The two pumps share their sessions (built by
+//! the [`registry`]), their dispatch and fault-boundary steps, and their
+//! result fold.
+//!
 //! **Parity is the contract.** Each session's transcript — frame bytes,
 //! timer firings, retransmission counts, elapsed ticks, link counters —
 //! is bit-identical to what a standalone [`SuiteDriver`] run of the same
@@ -21,225 +27,31 @@
 //! [`Simulator::consume_cancellation`]) undo the places where batched
 //! draining pops events a standalone pump would never have seen.
 //! `tests/golden_parity.rs` replays the committed fixture corpus through
-//! this driver and diffs transcripts byte-for-byte.
+//! this driver and compares every result with the solo run.
 //!
 //! [`SuiteDriver`]: crate::scenario::SuiteDriver
 
 use netdsl_netsim::campaign::BatchDriver;
-use netdsl_netsim::scenario::{
-    apply_fault, FaultNode, FaultPlan, FaultWorld, FsmPath, PlannedFault, Scenario, ScenarioError,
-    ScenarioResult, TopologySpec,
-};
-use netdsl_netsim::{
-    EventRef, LinkId, NodeId, ObsConfig, SessionId, SimCore, Simulator, Tick, TimerToken,
-};
+use netdsl_netsim::scenario::{FaultWorld, PlannedFault, Scenario, ScenarioError, ScenarioResult};
+use netdsl_netsim::{EventRef, ObsConfig, SessionId, SimCore, Simulator, Tick};
 use netdsl_obs::{Counter, Gauge};
 
-use crate::arq::compiled::FsmSender;
-use crate::arq::session::{SwReceiver, SwSender};
-use crate::baseline::{CReceiver, CSender};
-use crate::driver::{Endpoint, Io};
-use crate::gbn::{GbnReceiver, GbnSender};
-use crate::scenario::{validate_engine, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
-use crate::sr::{SrReceiver, SrSender};
+use crate::driver::{
+    apply_faults, dispatch, duplex_world, fold, on_core, planned_faults, run_scenario, start, wire,
+};
+use crate::golden::Observed;
+use crate::registry::{self, SessionEndpoints};
 
 static MUX_SESSIONS_RUN: Counter = Counter::new("mux.sessions_run");
 static MUX_OPEN_SESSIONS: Gauge = Gauge::new("mux.open_sessions");
 
-/// One session's pair of endpoints, type-erased so a batch can mix
-/// protocols. The `a`/`b` split mirrors [`Duplex`](crate::driver::Duplex):
-/// `a` is the sender side (transmits on the session's A→B link), `b` the
-/// receiver side.
-pub trait SessionEndpoints {
-    /// Kicks off the A endpoint (called once, before any event).
-    fn start_a(&mut self, io: &mut Io<'_>);
-    /// Kicks off the B endpoint.
-    fn start_b(&mut self, io: &mut Io<'_>);
-    /// A frame arrived at the A endpoint.
-    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>);
-    /// A frame arrived at the B endpoint.
-    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>);
-    /// A timer fired on the A endpoint's node.
-    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>);
-    /// A timer fired on the B endpoint's node.
-    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>);
-    /// Total state loss on the A endpoint (a crash-restart fault). The
-    /// driver calls `start_a` again afterwards, mirroring
-    /// [`Duplex::restart_a`](crate::driver::Duplex::restart_a).
-    fn reset_a(&mut self);
-    /// Total state loss on the B endpoint.
-    fn reset_b(&mut self);
-    /// `true` once both endpoints need no more events.
-    fn done(&self) -> bool;
-    /// `(sender_succeeded, frames_sent, retransmissions)`. `ab_sent` is
-    /// the session's A→B link send counter, for endpoints (the baseline)
-    /// that keep no counters of their own.
-    fn outcome(&self, ab_sent: u64) -> (bool, u64, u64);
-    /// The messages the sender offered.
-    fn offered(&self) -> &[Vec<u8>];
-    /// The messages the receiver delivered, in order.
-    fn delivered(&self) -> &[Vec<u8>];
-}
-
-/// The one [`SessionEndpoints`] implementation: two concrete endpoints
-/// plus plain-function extractors, mirroring how
-/// [`drive_duplex`](crate::scenario::drive_duplex) parameterises its
-/// result fold (monomorphic per endpoint pair, no captures).
-pub struct Pair<A, B> {
-    a: A,
-    b: B,
-    stats: fn(&A, &B, u64) -> (bool, u64, u64),
-    offered: fn(&A) -> &[Vec<u8>],
-    delivered: fn(&B) -> &[Vec<u8>],
-}
-
-impl<A: Endpoint, B: Endpoint> Pair<A, B> {
-    /// Bundles two endpoints with their outcome extractors.
-    pub fn new(
-        a: A,
-        b: B,
-        stats: fn(&A, &B, u64) -> (bool, u64, u64),
-        offered: fn(&A) -> &[Vec<u8>],
-        delivered: fn(&B) -> &[Vec<u8>],
-    ) -> Self {
-        Pair {
-            a,
-            b,
-            stats,
-            offered,
-            delivered,
-        }
-    }
-}
-
-impl<A: Endpoint, B: Endpoint> SessionEndpoints for Pair<A, B> {
-    fn start_a(&mut self, io: &mut Io<'_>) {
-        self.a.start(io);
-    }
-    fn start_b(&mut self, io: &mut Io<'_>) {
-        self.b.start(io);
-    }
-    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        self.a.on_frame(frame, io);
-    }
-    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        self.b.on_frame(frame, io);
-    }
-    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
-        self.a.on_timer(token, io);
-    }
-    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>) {
-        self.b.on_timer(token, io);
-    }
-    fn reset_a(&mut self) {
-        self.a.reset();
-    }
-    fn reset_b(&mut self) {
-        self.b.reset();
-    }
-    fn done(&self) -> bool {
-        self.a.done() && self.b.done()
-    }
-    fn outcome(&self, ab_sent: u64) -> (bool, u64, u64) {
-        (self.stats)(&self.a, &self.b, ab_sent)
-    }
-    fn offered(&self) -> &[Vec<u8>] {
-        (self.offered)(&self.a)
-    }
-    fn delivered(&self) -> &[Vec<u8>] {
-        (self.delivered)(&self.b)
-    }
-}
-
-/// Builds the suite endpoints for one scenario, exactly as
-/// [`SuiteDriver`](crate::scenario::SuiteDriver) would — same
-/// constructors, same engine-axis handling, same
-/// [`validate_engine`] refusal.
-pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SessionEndpoints>, ScenarioError> {
-    let spec = &scenario.protocol;
-    validate_engine(spec)?;
-    let messages = scenario.traffic.generate();
-    let n = messages.len();
-    match spec.name.as_str() {
-        STOP_AND_WAIT => match spec.fsm_path {
-            FsmPath::Typestate => Ok(Box::new(Pair::new(
-                SwSender::new(messages, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path)
-                    .with_retransmit(spec.retransmit),
-                SwReceiver::new(n).with_frame_path(spec.frame_path),
-                |a, _, _| {
-                    let s = a.stats();
-                    (a.succeeded(), s.frames_sent, s.retransmissions)
-                },
-                SwSender::messages,
-                SwReceiver::delivered,
-            ))),
-            FsmPath::Compiled => Ok(Box::new(Pair::new(
-                FsmSender::new(messages, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path),
-                SwReceiver::new(n).with_frame_path(spec.frame_path),
-                |a, _, _| {
-                    let s = a.stats();
-                    (a.succeeded(), s.frames_sent, s.retransmissions)
-                },
-                FsmSender::messages,
-                SwReceiver::delivered,
-            ))),
-        },
-        GO_BACK_N => Ok(Box::new(Pair::new(
-            GbnSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                .with_frame_path(spec.frame_path)
-                .with_retransmit(spec.retransmit),
-            GbnReceiver::new(n).with_frame_path(spec.frame_path),
-            |a, _, _| {
-                let s = a.stats();
-                (a.succeeded(), s.frames_sent, s.retransmissions)
-            },
-            GbnSender::messages,
-            GbnReceiver::delivered,
-        ))),
-        SELECTIVE_REPEAT => Ok(Box::new(Pair::new(
-            SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                .with_frame_path(spec.frame_path)
-                .with_retransmit(spec.retransmit),
-            SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
-            |a, _, _| {
-                let s = a.stats();
-                (a.succeeded(), s.frames_sent, s.retransmissions)
-            },
-            SrSender::messages,
-            SrReceiver::delivered,
-        ))),
-        BASELINE => Ok(Box::new(Pair::new(
-            CSender::new(messages, spec.timeout, spec.max_retries),
-            CReceiver::new(n),
-            // The baseline keeps no counters (that is its point);
-            // recover them from the data-direction link counter.
-            |a, b, ab_sent| {
-                (
-                    a.succeeded(),
-                    ab_sent,
-                    ab_sent.saturating_sub(b.delivered().len() as u64),
-                )
-            },
-            CSender::messages,
-            CReceiver::delivered,
-        ))),
-        other => Err(ScenarioError::UnknownProtocol(other.to_string())),
-    }
-}
-
 /// Per-session pump bookkeeping inside a batch.
 struct Slot {
+    /// The session's position in the batch.
+    index: usize,
     pair: Box<dyn SessionEndpoints>,
-    node_a: NodeId,
-    node_b: NodeId,
-    link_ab: LinkId,
-    link_ba: LinkId,
+    world: FaultWorld,
     deadline: Tick,
-    /// The expanded primitive fault schedule, sorted and pre-filtered to
-    /// `at < deadline` (faults at or past the deadline can never
-    /// influence a dispatched event).
     faults: Vec<PlannedFault>,
     next_fault: usize,
     /// The session's own clock: the tick of its last dispatched event —
@@ -251,62 +63,23 @@ struct Slot {
 
 impl Slot {
     /// Post-dispatch bookkeeping, the multiplexed equivalent of one
-    /// `pump_with_faults` boundary check: advance the session clock,
-    /// apply every fault boundary the event crossed (standalone applies
-    /// a fault after the first event *past* it, so strictly `at < now`),
-    /// and close the session once both endpoints are done or the event
-    /// landed past the deadline (standalone dispatches exactly one event
-    /// past the boundary before breaking).
+    /// step of the single-session pump: advance the session clock, apply
+    /// every fault boundary the event crossed, and close the session
+    /// once both endpoints are done or the event landed past the
+    /// deadline (standalone dispatches exactly one event past the
+    /// boundary before breaking).
     fn settle(&mut self, sim: &mut Simulator, open: &mut usize) {
         self.now = sim.now();
-        let world = FaultWorld {
-            node_a: self.node_a,
-            node_b: self.node_b,
-            link_ab: self.link_ab,
-            link_ba: self.link_ba,
-        };
-        while let Some(fault) = self.faults.get(self.next_fault) {
-            if fault.at >= self.now {
-                break;
-            }
-            match apply_fault(sim, &world, fault) {
-                Some(FaultNode::A) => {
-                    self.pair.reset_a();
-                    self.pair
-                        .start_a(&mut Io::new(sim, self.node_a, self.link_ab));
-                }
-                Some(FaultNode::B) => {
-                    self.pair.reset_b();
-                    self.pair
-                        .start_b(&mut Io::new(sim, self.node_b, self.link_ba));
-                }
-                None => {}
-            }
-            self.next_fault += 1;
-        }
+        apply_faults(
+            sim,
+            &self.world,
+            &mut *self.pair,
+            &self.faults,
+            &mut self.next_fault,
+        );
         if self.pair.done() || self.now > self.deadline {
             self.closed = true;
             *open -= 1;
-        }
-    }
-
-    /// Folds the session's outcome into the driver-independent result
-    /// shape, mirroring `drive_duplex` field for field (link counters
-    /// come from the session's own links, not the shared total).
-    fn result(&self, sim: &Simulator) -> ScenarioResult {
-        let ab_sent = sim.link_stats(self.link_ab).sent;
-        let (sender_succeeded, frames_sent, retransmissions) = self.pair.outcome(ab_sent);
-        let offered = self.pair.offered();
-        let delivered = self.pair.delivered();
-        ScenarioResult {
-            success: sender_succeeded && delivered == offered,
-            elapsed: self.now,
-            messages_offered: offered.len() as u64,
-            messages_delivered: delivered.len() as u64,
-            payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
-            frames_sent,
-            retransmissions,
-            link: sim.session_stats(self.session),
         }
     }
 }
@@ -326,54 +99,30 @@ impl MultiSessionDriver {
     }
 }
 
-/// Scenario-level validation shared with the solo driver: duplex
-/// topology, known protocol, supported engine configuration.
-fn validate(scenario: &Scenario) -> Result<(), ScenarioError> {
-    if scenario.topology != TopologySpec::Duplex {
-        return Err(ScenarioError::UnsupportedTopology(format!(
-            "{} runs duplex topologies only, got {:?}",
-            scenario.protocol.name, scenario.topology
-        )));
-    }
-    if !matches!(
-        scenario.protocol.name.as_str(),
-        STOP_AND_WAIT | GO_BACK_N | SELECTIVE_REPEAT | BASELINE
-    ) {
-        return Err(ScenarioError::UnknownProtocol(
-            scenario.protocol.name.clone(),
-        ));
-    }
-    validate_engine(&scenario.protocol)?;
-    Ok(())
-}
-
 impl BatchDriver for MultiSessionDriver {
     fn supports(&self, protocol: &str) -> bool {
-        matches!(
-            protocol,
-            STOP_AND_WAIT | GO_BACK_N | SELECTIVE_REPEAT | BASELINE
-        )
+        registry::supports(protocol)
     }
 
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
         let mut results: Vec<Option<Result<ScenarioResult, ScenarioError>>> =
             batch.iter().map(|_| None).collect();
-        // Scenarios that fail validation error in place; the rest group
+        // Scenarios the registry refuses error in place; the rest group
         // by engine core (batch order preserved within a group).
         let mut pooled = Vec::new();
         let mut legacy = Vec::new();
         for (i, scenario) in batch.iter().enumerate() {
-            match validate(scenario) {
+            match registry::session(scenario) {
                 Err(e) => results[i] = Some(Err(e)),
-                Ok(()) => match scenario.protocol.sim_core {
-                    SimCore::Pooled => pooled.push(i),
-                    SimCore::Legacy => legacy.push(i),
+                Ok(pair) => match scenario.protocol.sim_core {
+                    SimCore::Pooled => pooled.push((i, pair)),
+                    SimCore::Legacy => legacy.push((i, pair)),
                 },
             }
         }
         for (core, group) in [(SimCore::Pooled, pooled), (SimCore::Legacy, legacy)] {
             if !group.is_empty() {
-                run_group(core, &group, batch, &mut results);
+                run_group(core, group, batch, &mut results);
             }
         }
         results
@@ -383,52 +132,38 @@ impl BatchDriver for MultiSessionDriver {
     }
 }
 
-/// Runs one core's worth of validated scenarios as sessions of a single
-/// simulator and writes each result into its original batch slot.
+/// Runs one core's worth of registry-built sessions (each with its
+/// batch index) as sessions of a single simulator and writes each
+/// result into its original batch slot.
 fn run_group(
     core: SimCore,
-    group: &[usize],
+    group: Vec<(usize, Box<dyn SessionEndpoints>)>,
     batch: &[Scenario],
     results: &mut [Option<Result<ScenarioResult, ScenarioError>>],
 ) {
-    // A legacy-core batch is a measurement baseline, same as
-    // `drive_duplex`: it runs the byte-at-a-time reference checksum.
-    // Values are identical either way, so parity is unaffected.
-    let legacy = core == SimCore::Legacy;
-    let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
-
     // World building: the first scenario seeds the constructor (its RNG
     // stream is session 0), every further scenario is an added session.
     // Node ids are dense and allocated here in order, so a flat vector
     // maps any event's node straight to its slot.
-    let mut sim = Simulator::with_core(batch[group[0]].seed, core);
+    let mut sim = Simulator::with_core(batch[group[0].0].seed, core);
     let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
     let mut node_slot: Vec<usize> = Vec::with_capacity(group.len() * 2);
-    for (k, &i) in group.iter().enumerate() {
-        let scenario = &batch[i];
+    for (k, (index, pair)) in group.into_iter().enumerate() {
+        let scenario = &batch[index];
         let session = if k == 0 {
             sim.default_session()
         } else {
             sim.add_session(scenario.seed)
         };
-        let node_a = sim.add_node_for(session);
-        let node_b = sim.add_node_for(session);
-        debug_assert_eq!(node_a.index(), node_slot.len());
-        node_slot.push(k);
-        node_slot.push(k);
-        let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, scenario.link.clone());
+        let world = wire(&mut sim, session, scenario.link.clone());
+        debug_assert_eq!(world.node_a.index(), node_slot.len());
+        node_slot.extend([k, k]);
         slots.push(Slot {
-            pair: suite_session(scenario).expect("scenario validated before grouping"),
-            node_a,
-            node_b,
-            link_ab,
-            link_ba,
+            index,
+            pair,
+            world,
             deadline: scenario.deadline,
-            faults: FaultPlan::from_scenario(scenario)
-                .actions
-                .into_iter()
-                .filter(|f| f.at < scenario.deadline)
-                .collect(),
+            faults: planned_faults(scenario),
             next_fault: 0,
             now: 0,
             closed: false,
@@ -440,223 +175,132 @@ fn run_group(
     // member scenarios ask for (flight capacity takes the max). Metric
     // updates outside this function self-gate, so the two batch-level
     // instruments below are unconditional.
-    let obs = group
-        .iter()
-        .fold(ObsConfig::off(), |acc, &i| acc.union(batch[i].protocol.obs));
+    let obs = slots.iter().fold(ObsConfig::off(), |acc, slot| {
+        acc.union(batch[slot.index].protocol.obs)
+    });
     sim.set_obs(obs);
-    MUX_SESSIONS_RUN.add(group.len() as u64);
+    MUX_SESSIONS_RUN.add(slots.len() as u64);
 
-    // Start phase: all starts happen at tick 0, before any event is
-    // popped — just as each standalone run starts its endpoints before
-    // pumping. Sessions that need no events (empty transfers) close
-    // immediately with elapsed 0.
-    let mut open = slots.len();
-    for slot in &mut slots {
-        slot.pair
-            .start_a(&mut Io::new(&mut sim, slot.node_a, slot.link_ab));
-        slot.pair
-            .start_b(&mut Io::new(&mut sim, slot.node_b, slot.link_ba));
-        if slot.pair.done() {
-            slot.closed = true;
-            open -= 1;
-        }
-    }
-
-    // Batched pump: one wheel pop per tick drains every session's due
-    // events in global (at, seq) order — the exact relative order each
-    // session's standalone pump would have produced. Events belonging
-    // to sessions that closed earlier (done, or past their deadline)
-    // are events a standalone run would never have popped: retract the
-    // delivery count / consume the cancellation and drop them.
-    let recycle = core == SimCore::Pooled;
-    let mut events: Vec<EventRef> = Vec::new();
-    // Gauge of in-flight sessions, updated by delta so concurrent
-    // groups on other threads compose instead of clobbering.
-    MUX_OPEN_SESSIONS.add(open as i64);
-    let mut last_open = open;
-    while open > 0 && sim.drain_tick(&mut events).is_some() {
-        for event in events.drain(..) {
-            match event {
-                EventRef::Frame {
-                    node,
-                    link,
-                    payload,
-                } => {
-                    let slot = &mut slots[node_slot[node.index()]];
-                    if slot.closed {
-                        sim.skip_delivery(link);
-                        sim.release_payload(payload);
-                        continue;
-                    }
-                    // A crash applied mid-tick: this frame was drained
-                    // before the crash landed, so the pop-time dead
-                    // check never saw it. A standalone pump pops it
-                    // after the crash and drops it; do the same here
-                    // (without settling — standalone applies fault
-                    // boundaries only after *dispatched* events).
-                    if sim.node_is_down(node) {
-                        sim.drop_delivery(link, payload);
-                        continue;
-                    }
-                    let frame = sim.detach_payload(payload);
-                    if node == slot.node_a {
-                        slot.pair
-                            .frame_a(&frame, &mut Io::new(&mut sim, slot.node_a, slot.link_ab));
-                    } else {
-                        slot.pair
-                            .frame_b(&frame, &mut Io::new(&mut sim, slot.node_b, slot.link_ba));
-                    }
-                    if recycle {
-                        sim.recycle_payload(frame);
-                    }
-                    slot.settle(&mut sim, &mut open);
-                }
-                EventRef::Timer { node, token } => {
-                    let slot = &mut slots[node_slot[node.index()]];
-                    if slot.closed {
-                        sim.consume_cancellation(node, token);
-                        continue;
-                    }
-                    if sim.consume_cancellation(node, token) {
-                        continue;
-                    }
-                    // Same mid-tick crash window as the frame arm: the
-                    // timer was drained before the crash retracted it.
-                    if sim.node_is_down(node) {
-                        continue;
-                    }
-                    if node == slot.node_a {
-                        slot.pair
-                            .timer_a(token, &mut Io::new(&mut sim, slot.node_a, slot.link_ab));
-                    } else {
-                        slot.pair
-                            .timer_b(token, &mut Io::new(&mut sim, slot.node_b, slot.link_ba));
-                    }
-                    slot.settle(&mut sim, &mut open);
-                }
+    on_core(core, || {
+        // Start phase: all starts happen at tick 0, before any event is
+        // popped — just as each standalone run starts its endpoints
+        // before pumping. Sessions that need no events (empty transfers)
+        // close immediately with elapsed 0.
+        let mut open = slots.len();
+        for slot in &mut slots {
+            start(&mut sim, &slot.world, &mut *slot.pair);
+            if slot.pair.done() {
+                slot.closed = true;
+                open -= 1;
             }
         }
-        if open != last_open {
-            MUX_OPEN_SESSIONS.add(open as i64 - last_open as i64);
-            last_open = open;
-        }
-    }
-    MUX_OPEN_SESSIONS.add(-(last_open as i64));
-    if restore_fast_path {
-        netdsl_wire::checksum::set_reference_mode(false);
-    }
 
-    for (k, &i) in group.iter().enumerate() {
-        results[i] = Some(Ok(slots[k].result(&sim)));
+        // Batched pump: one wheel pop per tick drains every session's
+        // due events in global (at, seq) order — the exact relative
+        // order each session's standalone pump would have produced.
+        let mut events: Vec<EventRef> = Vec::new();
+        // Gauge of in-flight sessions, updated by delta so concurrent
+        // groups on other threads compose instead of clobbering.
+        MUX_OPEN_SESSIONS.add(open as i64);
+        let mut last_open = open;
+        while open > 0 && sim.drain_tick(&mut events).is_some() {
+            for event in events.drain(..) {
+                let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
+                let slot = &mut slots[node_slot[node.index()]];
+                match event {
+                    // A closed session's events (done, or past its
+                    // deadline) are events a standalone run would never
+                    // have popped: retract the delivery count / consume
+                    // the cancellation and drop them.
+                    EventRef::Frame { link, payload, .. } if slot.closed => {
+                        sim.skip_delivery(link);
+                        sim.release_payload(payload);
+                    }
+                    // A crash applied mid-tick: this event was drained
+                    // before the crash landed, so the pop-time dead check
+                    // never saw it. A standalone pump pops it after the
+                    // crash and drops it; do the same here (without
+                    // settling — standalone applies fault boundaries only
+                    // after *dispatched* events).
+                    EventRef::Frame { link, payload, .. } if sim.node_is_down(node) => {
+                        sim.drop_delivery(link, payload);
+                    }
+                    // Timers: a cancellation a handler earlier in this
+                    // tick left pending is consumed first (for closed
+                    // sessions too), then the same two drops apply.
+                    EventRef::Timer { token, .. }
+                        if sim.consume_cancellation(node, token)
+                            || slot.closed
+                            || sim.node_is_down(node) => {}
+                    event => {
+                        dispatch(&mut sim, &slot.world, &mut *slot.pair, event);
+                        slot.settle(&mut sim, &mut open);
+                    }
+                }
+            }
+            if open != last_open {
+                MUX_OPEN_SESSIONS.add(open as i64 - last_open as i64);
+                last_open = open;
+            }
+        }
+        MUX_OPEN_SESSIONS.add(-(last_open as i64));
+    });
+
+    for slot in &slots {
+        let ab_sent = sim.link_stats(slot.world.link_ab).sent;
+        results[slot.index] = Some(Ok(fold(
+            core,
+            slot.now,
+            slot.pair.outcome(ab_sent),
+            slot.pair.offered(),
+            slot.pair.delivered(),
+            sim.session_stats(slot.session),
+        )));
     }
 }
 
-/// Runs **one** prepared session through the multiplexed world-building
-/// path (session table, [`Simulator::add_node_for`], session-inferred
-/// links) on its own simulator, pumping event-at-a-time via
-/// [`Simulator::step_ref`]. The golden recorder uses this: batched
-/// draining pops a whole tick before dispatching, which would misattach
-/// per-delivery annotations, while the stepped pump preserves the exact
-/// pop-dispatch-annotate interleaving of a standalone run. With
-/// `record` on, the simulator captures the golden transcript; the
-/// returned simulator still holds it.
+/// Runs **one** registry session on its own simulator through the
+/// single-session pump (event-at-a-time via [`Simulator::step_ref`]) —
+/// what [`SuiteDriver`](crate::scenario::SuiteDriver) runs. With
+/// `record` on, the simulator captures the golden transcript and the
+/// session runs inside a [`golden::Observed`](crate::golden::Observed)
+/// wrapper that annotates every delivery (the golden recorder's mode);
+/// the returned simulator still holds the capture. Batched draining
+/// pops a whole tick before dispatching, which would misattach those
+/// per-delivery annotations; the stepped pump preserves the exact
+/// pop-dispatch-annotate interleaving.
 pub fn run_session_stepped(
     scenario: &Scenario,
     pair: &mut dyn SessionEndpoints,
     record: bool,
 ) -> (ScenarioResult, Simulator) {
-    let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
-    let session = sim.default_session();
-    let node_a = sim.add_node_for(session);
-    let node_b = sim.add_node_for(session);
-    let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, scenario.link.clone());
-    if record {
+    let core = scenario.protocol.sim_core;
+    let (mut sim, world) = duplex_world(scenario.seed, scenario.link.clone(), core);
+    let elapsed = if record {
         sim.record_golden(true);
-    }
-    sim.set_obs(scenario.protocol.obs);
-    pair.start_a(&mut Io::new(&mut sim, node_a, link_ab));
-    pair.start_b(&mut Io::new(&mut sim, node_b, link_ba));
-
-    let faults: Vec<PlannedFault> = FaultPlan::from_scenario(scenario)
-        .actions
-        .into_iter()
-        .filter(|f| f.at < scenario.deadline)
-        .collect();
-    let world = FaultWorld {
-        node_a,
-        node_b,
-        link_ab,
-        link_ba,
+        run_scenario(scenario, &mut sim, &world, &mut Observed(&mut *pair))
+    } else {
+        run_scenario(scenario, &mut sim, &world, pair)
     };
-    let mut next_fault = 0;
-    let recycle = sim.core() == SimCore::Pooled;
-    while !pair.done() && sim.now() <= scenario.deadline {
-        let Some(event) = sim.step_ref() else {
-            break;
-        };
-        match event {
-            EventRef::Frame { node, payload, .. } => {
-                let frame = sim.detach_payload(payload);
-                if node == node_a {
-                    pair.frame_a(&frame, &mut Io::new(&mut sim, node_a, link_ab));
-                } else {
-                    pair.frame_b(&frame, &mut Io::new(&mut sim, node_b, link_ba));
-                }
-                if recycle {
-                    sim.recycle_payload(frame);
-                }
-            }
-            EventRef::Timer { node, token } => {
-                if node == node_a {
-                    pair.timer_a(token, &mut Io::new(&mut sim, node_a, link_ab));
-                } else {
-                    pair.timer_b(token, &mut Io::new(&mut sim, node_b, link_ba));
-                }
-            }
-        }
-        while let Some(fault) = faults.get(next_fault) {
-            if fault.at >= sim.now() {
-                break;
-            }
-            match apply_fault(&mut sim, &world, fault) {
-                Some(FaultNode::A) => {
-                    pair.reset_a();
-                    pair.start_a(&mut Io::new(&mut sim, node_a, link_ab));
-                }
-                Some(FaultNode::B) => {
-                    pair.reset_b();
-                    pair.start_b(&mut Io::new(&mut sim, node_b, link_ba));
-                }
-                None => {}
-            }
-            next_fault += 1;
-        }
-    }
-
-    let elapsed = sim.now();
-    let ab_sent = sim.link_stats(link_ab).sent;
-    let (sender_succeeded, frames_sent, retransmissions) = pair.outcome(ab_sent);
-    let offered = pair.offered();
-    let delivered = pair.delivered();
-    let result = ScenarioResult {
-        success: sender_succeeded && delivered == offered,
+    let ab_sent = sim.link_stats(world.link_ab).sent;
+    let result = fold(
+        core,
         elapsed,
-        messages_offered: offered.len() as u64,
-        messages_delivered: delivered.len() as u64,
-        payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
-        frames_sent,
-        retransmissions,
-        link: sim.session_stats(session),
-    };
+        pair.outcome(ab_sent),
+        pair.offered(),
+        pair.delivered(),
+        sim.total_stats(),
+    );
     (result, sim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::SuiteDriver;
+    use crate::scenario::{SuiteDriver, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
     use netdsl_netsim::scenario::{
-        EngineConfig, FramePath, ProtocolSpec, ScenarioDriver, TrafficPattern,
+        EngineConfig, FramePath, FsmPath, ProtocolSpec, ScenarioDriver, TopologySpec,
+        TrafficPattern,
     };
     use netdsl_netsim::LinkConfig;
 
@@ -762,17 +406,6 @@ mod tests {
             want,
             "valid slots unaffected"
         );
-    }
-
-    #[test]
-    fn stepped_single_session_matches_the_solo_driver() {
-        let solo = SuiteDriver::new();
-        for scenario in mixed_batch() {
-            let mut pair = suite_session(&scenario).unwrap();
-            let (got, _) = run_session_stepped(&scenario, pair.as_mut(), false);
-            let want = solo.run(&scenario).unwrap();
-            assert_eq!(got, want, "{}: stepped path diverges", scenario.name);
-        }
     }
 
     #[test]

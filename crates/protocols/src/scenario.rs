@@ -4,12 +4,13 @@
 //! declarative scenario layer of
 //! [`netdsl_netsim::scenario`]: a [`Scenario`] names one of
 //! [`STOP_AND_WAIT`], [`GO_BACK_N`], [`SELECTIVE_REPEAT`] or
-//! [`BASELINE`], and the driver builds the matching [`Duplex`] world,
-//! applies any scheduled [`Fault`]s mid-run (expanded to a primitive
-//! [`FaultPlan`]), and reports a protocol-independent
-//! [`ScenarioResult`].
+//! [`BASELINE`], the [`registry`] builds the matching endpoint pair,
+//! and the driver pumps it on a fresh simulator — applying any
+//! scheduled [`Fault`]s mid-run (expanded to a primitive [`FaultPlan`])
+//! — and reports a protocol-independent [`ScenarioResult`].
 //!
 //! [`Fault`]: netdsl_netsim::scenario::Fault
+//! [`FaultPlan`]: netdsl_netsim::scenario::FaultPlan
 //!
 //! ```
 //! use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern};
@@ -28,18 +29,12 @@
 //! assert_eq!(result.messages_delivered, 10);
 //! ```
 
-use netdsl_netsim::scenario::{
-    apply_fault, EngineConfigError, FaultNode, FaultPlan, FsmPath, ProtocolSpec, RetransmitPolicy,
-    Scenario, ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
-};
-use netdsl_netsim::Tick;
+use netdsl_netsim::scenario::{Scenario, ScenarioDriver, ScenarioError, ScenarioResult};
 
-use crate::arq::compiled::FsmSender;
-use crate::arq::session::{SwReceiver, SwSender};
-use crate::baseline::{CReceiver, CSender};
-use crate::driver::{Duplex, Endpoint};
-use crate::gbn::{GbnReceiver, GbnSender};
-use crate::sr::{SrReceiver, SrSender};
+use crate::driver::{fold, Duplex, Endpoint};
+use crate::multiplex::run_session_stepped;
+use crate::registry;
+pub use crate::registry::validate_engine;
 
 /// Protocol key for the §3.4 typestate stop-and-wait ARQ.
 pub const STOP_AND_WAIT: &str = "stop-and-wait";
@@ -52,56 +47,10 @@ pub const SELECTIVE_REPEAT: &str = "selective-repeat";
 /// Protocol key for the hand-rolled C-style baseline ARQ.
 pub const BASELINE: &str = "baseline";
 
-/// Runs a [`Duplex`] world to completion, applying the primitive
-/// actions of a [`FaultPlan`] (already sorted by activation time) at
-/// their scheduled ticks. Returns the tick at which pumping stopped.
-///
-/// Fault boundaries are approximate by one event: the pump hands over at
-/// the first event *past* the boundary, which is deterministic and
-/// indistinguishable from the fault landing a tick later. A
-/// [`FaultNode`] returned by [`apply_fault`] (a restart) re-launches the
-/// corresponding endpoint from scratch via [`Duplex::restart_a`] /
-/// [`Duplex::restart_b`].
-///
-/// A fault scheduled after the session's last event never lands: when
-/// the pump stops without crossing a fault's boundary (both endpoints
-/// done, or the event queue drained), that fault and every later one
-/// are discarded — the same rule the multiplexed driver's slot applies
-/// when it closes a finished session with faults still pending.
-pub fn pump_with_faults<A: Endpoint, B: Endpoint>(
-    duplex: &mut Duplex<A, B>,
-    plan: &FaultPlan,
-    deadline: Tick,
-) -> Tick {
-    let world = duplex.fault_world();
-    let mut started = false;
-    for fault in plan.actions.iter().filter(|f| f.at < deadline) {
-        let now = if started {
-            duplex.resume(fault.at)
-        } else {
-            duplex.run(fault.at)
-        };
-        started = true;
-        if now <= fault.at {
-            // Stopped early — no event ever crossed this boundary.
-            return now;
-        }
-        match apply_fault(duplex.sim_mut(), &world, fault) {
-            Some(FaultNode::A) => duplex.restart_a(),
-            Some(FaultNode::B) => duplex.restart_b(),
-            None => {}
-        }
-    }
-    if started {
-        duplex.resume(deadline)
-    } else {
-        duplex.run(deadline)
-    }
-}
-
 /// [`ScenarioDriver`] over this crate's pairwise protocols
 /// ([`STOP_AND_WAIT`], [`GO_BACK_N`], [`SELECTIVE_REPEAT`],
-/// [`BASELINE`]); duplex topologies only.
+/// [`BASELINE`]); duplex topologies only. Each run is the [`registry`]
+/// session pumped by [`run_session_stepped`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SuiteDriver;
 
@@ -112,13 +61,25 @@ impl SuiteDriver {
     }
 }
 
-/// Builds the duplex world (on the scenario's engine core), pumps it
-/// through the fault schedule, and folds the outcome into the
-/// driver-independent result shape. `stats_of` extracts
-/// `(sender_succeeded, frames_sent, retransmissions)`; `offered_of` /
-/// `delivered_of` borrow the offered and delivered message slices from
-/// the endpoints, so the result is computed without copying a single
-/// transfer (the pre-arena driver cloned both sides per scenario).
+impl ScenarioDriver for SuiteDriver {
+    fn supports(&self, protocol: &str) -> bool {
+        registry::supports(protocol)
+    }
+
+    fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
+        let mut session = registry::session(scenario)?;
+        Ok(run_session_stepped(scenario, session.as_mut(), false).0)
+    }
+}
+
+/// Runs `scenario` with caller-built endpoints on a [`Duplex`] world
+/// (on the scenario's engine core) through the same pump, fault
+/// schedule and result fold as [`SuiteDriver`] — the entry point for
+/// drivers that wrap or replace the suite's endpoints. `stats_of`
+/// extracts `(sender_succeeded, frames_sent, retransmissions)`;
+/// `offered_of` / `delivered_of` borrow the offered and delivered
+/// message slices from the endpoints, so the result is computed without
+/// copying a single transfer.
 pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     scenario: &Scenario,
     a: A,
@@ -127,210 +88,24 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     offered_of: impl Fn(&A) -> &[Vec<u8>],
     delivered_of: impl Fn(&B) -> &[Vec<u8>],
 ) -> ScenarioResult {
-    let mut duplex = Duplex::with_core(
-        scenario.seed,
-        scenario.link.clone(),
-        scenario.protocol.sim_core,
-        a,
-        b,
-    );
-    duplex.sim_mut().set_obs(scenario.protocol.obs);
-    // A legacy-core scenario is a measurement baseline: it reconstructs
-    // the whole pre-simcore hot path, including the byte-at-a-time
-    // checksum engine the optimised one is property-tested against.
-    // Checksum values are identical either way, so results never
-    // depend on the mode.
-    let legacy = scenario.protocol.sim_core == netdsl_netsim::SimCore::Legacy;
-    let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
-    let elapsed = pump_with_faults(
-        &mut duplex,
-        &FaultPlan::from_scenario(scenario),
-        scenario.deadline,
-    );
-    if restore_fast_path {
-        netdsl_wire::checksum::set_reference_mode(false);
-    }
-    let (sender_succeeded, frames_sent, retransmissions) = stats_of(&duplex);
-    // The legacy core is the measurement baseline for the whole
-    // pre-simcore path, which cloned the offered and delivered message
-    // lists once per scenario; reproduce those copies so E13 compares
-    // like against like. The pooled path compares borrowed slices.
-    let legacy_copies = match scenario.protocol.sim_core {
-        netdsl_netsim::SimCore::Legacy => Some((
-            offered_of(duplex.a()).to_vec(),
-            delivered_of(duplex.b()).to_vec(),
-        )),
-        netdsl_netsim::SimCore::Pooled => None,
-    };
-    let (offered, delivered) = match &legacy_copies {
-        Some((offered, delivered)) => (&offered[..], &delivered[..]),
-        None => (offered_of(duplex.a()), delivered_of(duplex.b())),
-    };
-    ScenarioResult {
-        success: sender_succeeded && delivered == offered,
+    let core = scenario.protocol.sim_core;
+    let mut duplex = Duplex::with_core(scenario.seed, scenario.link.clone(), core, a, b);
+    let elapsed = duplex.run_scenario(scenario);
+    fold(
+        core,
         elapsed,
-        messages_offered: offered.len() as u64,
-        messages_delivered: delivered.len() as u64,
-        payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
-        frames_sent,
-        retransmissions,
-        link: duplex.sim().total_stats(),
-    }
-}
-
-/// Validates a protocol spec's engine configuration — the **single**
-/// refusal path for unsupported axis combinations, shared by the suite
-/// driver, the golden recorder, and the multiplexed driver.
-///
-/// The invalid combinations are the ones that would silently measure
-/// something other than what the sweep cell claims:
-///
-/// - [`FsmPath::Compiled`] on a protocol other than [`STOP_AND_WAIT`]:
-///   only the §3.4 spec is reified and lowered to a transition table,
-///   and silently falling back to the typestate engine would let a
-///   sweep label a cell "compiled" while measuring something else —
-///   the same honesty rule the driver applies to fault schedules.
-/// - [`RetransmitPolicy::AdaptiveRto`] on the compiled FSM path or on
-///   [`BASELINE`]: the transition table and the hand-rolled C-style
-///   sender both hard-code the constant-timeout arm, so an "adaptive"
-///   cell there would quietly run fixed timers.
-pub fn validate_engine(spec: &ProtocolSpec) -> Result<(), EngineConfigError> {
-    if spec.fsm_path == FsmPath::Compiled && spec.name != STOP_AND_WAIT {
-        return Err(EngineConfigError {
-            protocol: spec.name.clone(),
-            config: spec.engine(),
-            reason: "only stop-and-wait has a compiled control-FSM driver".to_string(),
-        });
-    }
-    if matches!(spec.retransmit, RetransmitPolicy::AdaptiveRto { .. }) {
-        if spec.fsm_path == FsmPath::Compiled {
-            return Err(EngineConfigError {
-                protocol: spec.name.clone(),
-                config: spec.engine(),
-                reason: "the compiled control-FSM driver supports fixed retransmission only"
-                    .to_string(),
-            });
-        }
-        if spec.name == BASELINE {
-            return Err(EngineConfigError {
-                protocol: spec.name.clone(),
-                config: spec.engine(),
-                reason: "the baseline ARQ supports fixed retransmission only".to_string(),
-            });
-        }
-    }
-    Ok(())
-}
-
-impl ScenarioDriver for SuiteDriver {
-    fn supports(&self, protocol: &str) -> bool {
-        matches!(
-            protocol,
-            STOP_AND_WAIT | GO_BACK_N | SELECTIVE_REPEAT | BASELINE
-        )
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        if scenario.topology != TopologySpec::Duplex {
-            return Err(ScenarioError::UnsupportedTopology(format!(
-                "{} runs duplex topologies only, got {:?}",
-                scenario.protocol.name, scenario.topology
-            )));
-        }
-        let spec = &scenario.protocol;
-        validate_engine(spec)?;
-        // Generated once and moved into the sender, which serves as the
-        // offered-message store for the result comparison — no
-        // per-scenario clone of the whole transfer.
-        let messages = scenario.traffic.generate();
-        let n = messages.len();
-
-        match spec.name.as_str() {
-            // Stop-and-wait is the one protocol with a reified control
-            // spec, so it honours the FsmPath axis: the same scenario
-            // runs on the typestate engine or the compiled
-            // transition-table engine, transcript-identically.
-            STOP_AND_WAIT => match spec.fsm_path {
-                FsmPath::Typestate => Ok(drive_duplex(
-                    scenario,
-                    SwSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path)
-                        .with_retransmit(spec.retransmit),
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    |d| {
-                        let s = d.a().stats();
-                        (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                    },
-                    SwSender::messages,
-                    SwReceiver::delivered,
-                )),
-                FsmPath::Compiled => Ok(drive_duplex(
-                    scenario,
-                    FsmSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    |d| {
-                        let s = d.a().stats();
-                        (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                    },
-                    FsmSender::messages,
-                    SwReceiver::delivered,
-                )),
-            },
-            GO_BACK_N => Ok(drive_duplex(
-                scenario,
-                GbnSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path)
-                    .with_retransmit(spec.retransmit),
-                GbnReceiver::new(n).with_frame_path(spec.frame_path),
-                |d| {
-                    let s = d.a().stats();
-                    (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                GbnSender::messages,
-                GbnReceiver::delivered,
-            )),
-            SELECTIVE_REPEAT => Ok(drive_duplex(
-                scenario,
-                SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path)
-                    .with_retransmit(spec.retransmit),
-                SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
-                |d| {
-                    let s = d.a().stats();
-                    (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                SrSender::messages,
-                SrReceiver::delivered,
-            )),
-            BASELINE => Ok(drive_duplex(
-                scenario,
-                CSender::new(messages, spec.timeout, spec.max_retries),
-                CReceiver::new(n),
-                |d| {
-                    // The baseline sender keeps no counters (that is
-                    // its point); recover frame counts from the
-                    // data-direction link: every `sent` there is a
-                    // data frame, and anything beyond one per
-                    // delivered message was a retransmission.
-                    let frames_sent = d.sim().link_stats(d.link_ab()).sent;
-                    let retransmissions =
-                        frames_sent.saturating_sub(d.b().delivered().len() as u64);
-                    (d.a().succeeded(), frames_sent, retransmissions)
-                },
-                CSender::messages,
-                CReceiver::delivered,
-            )),
-            other => Err(ScenarioError::UnknownProtocol(other.to_string())),
-        }
-    }
+        stats_of(&duplex),
+        offered_of(duplex.a()),
+        delivered_of(duplex.b()),
+        duplex.sim().total_stats(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netdsl_netsim::scenario::{
-        EngineConfig, Fault, FaultDirection, ProtocolSpec, TrafficPattern,
+        EngineConfig, Fault, FaultDirection, FsmPath, ProtocolSpec, TopologySpec, TrafficPattern,
     };
     use netdsl_netsim::LinkConfig;
 
@@ -447,6 +222,40 @@ mod tests {
                 matches!(driver.run(&scenario), Err(ScenarioError::Unsupported(_))),
                 "{name} must refuse FsmPath::Compiled"
             );
+        }
+    }
+
+    #[test]
+    fn drive_duplex_matches_the_suite_driver() {
+        // Caller-built endpoints on a `Duplex` world run the same pump,
+        // fault schedule and result fold as the registry's session, on
+        // either engine core.
+        use crate::gbn::{GbnReceiver, GbnSender};
+        use netdsl_netsim::scenario::FaultNode;
+        let crashed = base(GO_BACK_N)
+            .with_fault(Fault::crash(40, FaultNode::B))
+            .with_fault(Fault::restart(600, FaultNode::B));
+        let mut legacy = crashed.clone();
+        legacy.protocol = legacy.protocol.clone().with_engine(EngineConfig {
+            sim_core: netdsl_netsim::SimCore::Legacy,
+            ..EngineConfig::default()
+        });
+        for scenario in [base(GO_BACK_N), crashed, legacy] {
+            let spec = &scenario.protocol;
+            let messages = scenario.traffic.generate();
+            let n = messages.len();
+            let got = drive_duplex(
+                &scenario,
+                GbnSender::new(messages, spec.window, spec.timeout, spec.max_retries),
+                GbnReceiver::new(n),
+                |d| {
+                    let s = d.a().stats();
+                    (d.a().succeeded(), s.frames_sent, s.retransmissions)
+                },
+                GbnSender::messages,
+                GbnReceiver::delivered,
+            );
+            assert_eq!(got, SuiteDriver::new().run(&scenario).unwrap());
         }
     }
 

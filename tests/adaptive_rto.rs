@@ -11,7 +11,7 @@
 use netdsl::netsim::campaign::BatchDriver;
 use netdsl::netsim::check_result;
 use netdsl::netsim::LinkConfig;
-use netdsl::protocols::multiplex::{run_session_stepped, suite_session, MultiSessionDriver};
+use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
     Fault, FaultDirection, FaultNode, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario,
@@ -38,26 +38,23 @@ fn scenario(protocol: &str, policy: RetransmitPolicy) -> Scenario {
     .with_deadline(1_000_000)
 }
 
-/// Runs one scenario through all three engines: the standalone duplex
-/// pump, the batched multiplexer, and the stepped multiplexer.
-fn run_everywhere(s: &Scenario) -> [ScenarioResult; 3] {
+/// Runs one scenario through both pumps: the solo driver's single-session
+/// pump and the batched multiplexer.
+fn run_everywhere(s: &Scenario) -> [ScenarioResult; 2] {
     let solo = SuiteDriver::new().run(s).expect("valid scenario");
     let mux = MultiSessionDriver::new()
         .run_batch(std::slice::from_ref(s))
         .remove(0)
         .expect("valid scenario");
-    let mut pair = suite_session(s).expect("valid scenario");
-    let (stepped, _) = run_session_stepped(s, pair.as_mut(), false);
-    [solo, mux, stepped]
+    [solo, mux]
 }
 
 #[test]
 fn adaptive_runs_are_bit_identical_across_drivers() {
     for protocol in [STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT] {
         let s = scenario(protocol, ADAPTIVE);
-        let [solo, mux, stepped] = run_everywhere(&s);
+        let [solo, mux] = run_everywhere(&s);
         assert_eq!(solo, mux, "{protocol}: solo vs batched");
-        assert_eq!(solo, stepped, "{protocol}: solo vs stepped");
         assert!(solo.success, "{protocol}: {solo:?}");
         check_result(&s, &solo).assert_ok(&s.name);
     }
@@ -183,9 +180,8 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
                 for fault in &faults {
                     s = s.with_fault(fault.clone());
                 }
-                let [solo, mux, stepped] = run_everywhere(&s);
+                let [solo, mux] = run_everywhere(&s);
                 assert_eq!(solo, mux, "{}: solo vs batched", s.name);
-                assert_eq!(solo, stepped, "{}: solo vs stepped", s.name);
                 check_result(&s, &solo).assert_ok(&s.name);
             }
         }
@@ -205,10 +201,9 @@ fn a_fault_scheduled_after_the_last_event_never_lands() {
         .clone()
         .with_fault(Fault::crash(quiet.elapsed + 1_000, FaultNode::B))
         .with_fault(Fault::restart(quiet.elapsed + 2_000, FaultNode::B));
-    let [solo, mux, stepped] = run_everywhere(&s);
+    let [solo, mux] = run_everywhere(&s);
     assert_eq!(solo, quiet, "late fault must not change the run");
     assert_eq!(solo, mux);
-    assert_eq!(solo, stepped);
 }
 
 #[test]

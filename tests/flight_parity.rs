@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use netdsl::netsim::{FlightKind, GoldenEventKind};
 use netdsl::obs::FlightRecording;
-use netdsl::protocols::golden::{corpus, record_multiplexed_with_flight};
+use netdsl::protocols::golden::{corpus, record_with_flight};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -35,7 +35,7 @@ fn golden_twin(kind: FlightKind) -> Option<GoldenEventKind> {
 fn flight_frame_events_mirror_every_committed_fixture() {
     for scenario in &corpus() {
         let committed = std::fs::read_to_string(fixture_path(&scenario.name)).unwrap();
-        let (trace, flight) = record_multiplexed_with_flight(scenario).unwrap();
+        let (trace, flight) = record_with_flight(scenario).unwrap();
         assert_eq!(
             trace.to_json_string(),
             committed,
@@ -99,7 +99,7 @@ fn flight_recordings_are_timer_aware_and_roundtrip_canonically() {
         .into_iter()
         .find(|s| s.name == "sw-loss")
         .expect("corpus names are stable");
-    let (_, flight) = record_multiplexed_with_flight(&scenario).unwrap();
+    let (_, flight) = record_with_flight(&scenario).unwrap();
     let counts = flight.kind_counts();
     let of = |k: FlightKind| {
         counts

@@ -9,11 +9,11 @@
 //! ticks, same wire bytes, same verdicts, same endpoint-state digests,
 //! same serialized JSON. Combinations a protocol refuses (a compiled
 //! control FSM exists only for stop-and-wait) must refuse loudly, not
-//! fall back silently. The same bar applies to the **multiplexed**
-//! execution path: every fixture also replays through the session-table
-//! recorder (`record_multiplexed`) and the batched
-//! [`MultiSessionDriver`], and a 10k-session streaming campaign must be
-//! bit-identical across worker-thread counts.
+//! fall back silently. The recorder runs the solo driver's own session
+//! and pump, so the same bar extends to the **multiplexed** path through
+//! results: the whole corpus as one batch of the [`MultiSessionDriver`]
+//! must equal the solo runs, and a 10k-session streaming campaign must
+//! be bit-identical across worker-thread counts.
 //!
 //! A property test widens the net beyond the committed corpus: random
 //! small scenarios across all four protocols and random impairments
@@ -30,11 +30,12 @@ use proptest::prelude::*;
 
 use netdsl::campaign::{BatchDriver, Campaign, StreamOptions, Sweep};
 use netdsl::netsim::{GoldenTrace, LinkConfig, SimCore};
-use netdsl::protocols::golden::{corpus, record, record_multiplexed, with_combo};
+use netdsl::protocols::golden::{corpus, record, with_combo};
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
-    EngineConfig, FramePath, FsmPath, ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern,
+    EngineConfig, FramePath, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
+    TrafficPattern,
 };
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -43,10 +44,12 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Only stop-and-wait has a compiled control FSM; everything else must
-/// refuse `FsmPath::Compiled`.
+/// Only stop-and-wait has a compiled control FSM, and it runs fixed
+/// retransmission only; everything else must refuse `FsmPath::Compiled`.
 fn supported(scenario: &Scenario, config: EngineConfig) -> bool {
-    config.fsm_path == FsmPath::Typestate || scenario.protocol.name == STOP_AND_WAIT
+    config.fsm_path == FsmPath::Typestate
+        || (scenario.protocol.name == STOP_AND_WAIT
+            && scenario.protocol.retransmit == RetransmitPolicy::Fixed)
 }
 
 #[test]
@@ -114,44 +117,6 @@ fn committed_corpus_replays_byte_identically_under_every_engine_combo() {
                 assert!(
                     record(&variant).is_err(),
                     "{} under [{}]: must refuse loudly, not fall back",
-                    scenario.name,
-                    combo.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn committed_corpus_replays_byte_identically_through_the_multiplexed_path() {
-    // The session-table world (Simulator sessions, session-owned nodes
-    // and links) must transcribe every fixture exactly as the committed
-    // Duplex recording did, under every supported engine combo — the
-    // N=1 anchor that pins the multiplexed driver to standalone
-    // semantics.
-    for scenario in &corpus() {
-        let committed = std::fs::read_to_string(fixture_path(&scenario.name)).unwrap();
-        for combo in EngineConfig::all() {
-            let variant = with_combo(scenario, combo);
-            if supported(scenario, combo) {
-                let replay = record_multiplexed(&variant).unwrap_or_else(|e| {
-                    panic!(
-                        "{} under [{}]: multiplexed recording failed: {e}",
-                        scenario.name,
-                        combo.label()
-                    )
-                });
-                assert_eq!(
-                    replay.to_json_string(),
-                    committed,
-                    "{} under [{}]: multiplexed transcript drifted",
-                    scenario.name,
-                    combo.label()
-                );
-            } else {
-                assert!(
-                    record_multiplexed(&variant).is_err(),
-                    "{} under [{}]: multiplexed recorder must refuse too",
                     scenario.name,
                     combo.label()
                 );
@@ -291,8 +256,7 @@ proptest! {
     /// The parity property behind the corpus, over scenarios nobody
     /// hand-picked: any small scenario, any seed, any mix of loss and
     /// corruption — every supported engine combo produces the same
-    /// serialized transcript (through the Duplex *and* the multiplexed
-    /// recorder), and unsupported combos refuse.
+    /// serialized transcript, and unsupported combos refuse.
     #[test]
     fn engine_axes_never_change_the_transcript(
         protocol_idx in 0usize..4,
@@ -327,12 +291,6 @@ proptest! {
             let variant = with_combo(&scenario, combo);
             if supported(&scenario, combo) {
                 let text = record(&variant).unwrap().to_json_string();
-                let multiplexed = record_multiplexed(&variant).unwrap().to_json_string();
-                prop_assert_eq!(
-                    &text, &multiplexed,
-                    "combo [{}] multiplexed recorder diverged on {}",
-                    combo.label(), scenario.name
-                );
                 match &reference {
                     Some(first) => prop_assert_eq!(
                         first, &text,
