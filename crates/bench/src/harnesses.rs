@@ -14,7 +14,7 @@ use netdsl_netsim::campaign::{Campaign, Sweep};
 use netdsl_netsim::scenario::{
     EngineConfig, FramePath, ProtocolSpec, TopologySpec, TrafficPattern,
 };
-use netdsl_netsim::{LinkConfig, SimCore};
+use netdsl_netsim::LinkConfig;
 use netdsl_protocols::scenario::{GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 
 use crate::campaign_drivers::{ADAPTIVE_SW, FIXED_PATH, RANDOM_PATH, TRUST_LEARNING};
@@ -253,21 +253,15 @@ pub fn e12_campaign(quick: bool, path: FramePath) -> Campaign {
         .seeds(Sweep::seeds(4))
 }
 
-/// E13 — the simulation-core comparison: the suite protocols on the
-/// compiled frame path (so codec cost is minimal and engine cost
-/// dominates), with the engine core fixed per campaign — pooled
-/// (payload arena + timer wheel) vs legacy (owned buffers + binary
-/// heap). The two cores replay each other bit-identically, so the
-/// campaigns are comparable cell-for-cell and their throughput ratio
-/// is pure engine overhead. Quick mode shrinks the per-scenario
-/// transfer from 48 to 12 messages but keeps the 512 B payload size,
-/// so the per-frame cost profile (and therefore the speedup being
-/// gated) stays representative.
-pub fn e13_campaign(quick: bool, core: SimCore) -> Campaign {
+/// E13 — simulation-core throughput: the suite protocols on the
+/// compiled frame path, so codec cost is minimal and engine cost
+/// (payload arena + timer wheel) dominates. Quick mode shrinks the
+/// per-scenario transfer from 48 to 12 messages but keeps the 512 B
+/// payload size, so the per-frame cost profile stays representative.
+pub fn e13_campaign(quick: bool) -> Campaign {
     let messages = pick(quick, 48, 12);
     let size = 512;
     let engine = EngineConfig {
-        sim_core: core,
         frame_path: FramePath::Compiled,
         ..EngineConfig::default()
     };
@@ -278,7 +272,7 @@ pub fn e13_campaign(quick: bool, core: SimCore) -> Campaign {
             .with_retries(400)
             .with_engine(engine)
     };
-    Campaign::new(format!("e13-{}", core.as_str()), 0xE13)
+    Campaign::new("e13", 0xE13)
         .protocols(Sweep::grid([
             ("sw", proto(STOP_AND_WAIT, 1)),
             ("gbn8", proto(GO_BACK_N, 8)),
@@ -311,8 +305,7 @@ mod tests {
                 e12_campaign(q, FramePath::Interpreted)
             }),
             ("e12-compiled", |q| e12_campaign(q, FramePath::Compiled)),
-            ("e13-pooled", |q| e13_campaign(q, SimCore::Pooled)),
-            ("e13-legacy", |q| e13_campaign(q, SimCore::Legacy)),
+            ("e13", e13_campaign),
         ] {
             let full = builder(false).scenarios();
             let quick = builder(true).scenarios();

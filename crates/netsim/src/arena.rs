@@ -34,11 +34,9 @@
 /// Deliberately neither `Clone` nor `Copy`: each value represents
 /// exactly one reference, taken with [`PayloadArena::alloc`] (and
 /// friends) or [`PayloadArena::retain`] and consumed by
-/// [`PayloadArena::release`] / [`PayloadArena::detach`]. The ordering
-/// derives exist so queue entries containing handles can derive their
-/// own orderings; they compare slot numbers and mean nothing across
-/// arenas.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// [`PayloadArena::release`] / [`PayloadArena::detach`]. Equality
+/// compares slot numbers and means nothing across arenas.
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct PayloadRef(pub(crate) u32);
 
 #[derive(Debug, Default)]

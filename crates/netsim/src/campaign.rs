@@ -192,7 +192,7 @@ impl Campaign {
     /// scenario cell then runs once per [`EngineConfig`] entry, with the
     /// config applied over the protocol spec
     /// ([`ProtocolSpec::with_engine`]) — so engine-product sweeps (e.g.
-    /// the golden-parity 8-combo loop over [`EngineConfig::all`]) stop
+    /// the golden-parity 4-combo loop over [`EngineConfig::all`]) stop
     /// hand-rolling the cartesian product. Campaigns that never call
     /// this keep their protocol specs' own engine settings untouched.
     #[must_use]
@@ -936,6 +936,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{FramePath, FsmPath};
     use crate::stats::LinkStats;
 
     /// Driver whose result encodes the scenario seed, to observe
@@ -989,7 +990,6 @@ mod tests {
 
     #[test]
     fn engine_axis_multiplies_the_expansion_and_rewrites_the_spec() {
-        use crate::sim::SimCore;
         let engines = Sweep::grid(
             EngineConfig::all()
                 .into_iter()
@@ -997,20 +997,23 @@ mod tests {
         );
         let c = small_campaign().engines(engines);
         let scenarios = c.scenarios();
-        assert_eq!(scenarios.len(), 2 * 8 * 2 * 3);
+        assert_eq!(scenarios.len(), 2 * 4 * 2 * 3);
         // The engine label sits between protocol and link, and the spec
         // actually carries the swept config.
         assert_eq!(
             scenarios[0].name,
-            "t/p1/pooled/interpreted/typestate/clean/duplex/default/s0"
+            "t/p1/interpreted/typestate/clean/duplex/default/s0"
         );
-        assert_eq!(scenarios[0].labels.engine, "pooled/interpreted/typestate");
+        assert_eq!(scenarios[0].labels.engine, "interpreted/typestate");
         assert_eq!(scenarios[0].protocol.engine(), EngineConfig::default());
-        let legacy = scenarios
+        let compiled = scenarios
             .iter()
-            .find(|s| s.labels.engine.starts_with("legacy/"))
-            .expect("legacy engine cells exist");
-        assert_eq!(legacy.protocol.engine().sim_core, SimCore::Legacy);
+            .find(|s| s.labels.engine == "compiled/compiled")
+            .expect("fully compiled engine cells exist");
+        assert_eq!(
+            compiled.protocol.engine(),
+            EngineConfig::new(FramePath::Compiled, FsmPath::Compiled)
+        );
         // Engine is a non-seed axis: common random numbers hold across it.
         assert_eq!(scenarios[0].seed, scenarios[6].seed);
     }

@@ -14,8 +14,7 @@
 //! * **allocation-free in steady state** — frame payloads live in a
 //!   refcounted [`arena`], events schedule on a hierarchical
 //!   timer wheel, and both structures recycle across simulator lifetimes
-//!   (see `docs/SIMCORE.md`; the pre-arena engine survives as
-//!   [`SimCore::Legacy`] for measurement and as an ordering oracle).
+//!   (see `docs/SIMCORE.md`).
 //!
 //! On top of the engine sit the declarative experiment layers: a
 //! [`scenario`] describes one run (protocol × topology × link × traffic ×
@@ -78,7 +77,7 @@ pub use scenario::{
     FaultPlan, FaultWorld, PlannedFault, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
     ScenarioResult, TopologySpec, TrafficPattern,
 };
-pub use sim::{Event, EventRef, LinkId, NodeId, SessionId, SimCore, Simulator, TimerToken};
+pub use sim::{Event, EventRef, LinkId, NodeId, SessionId, Simulator, TimerToken};
 pub use stats::{Aggregate, LinkStats};
 pub use topology::Topology;
 pub use trace::{Trace, TraceEntry};

@@ -19,7 +19,7 @@ use std::fmt;
 use netdsl_obs::ObsConfig;
 
 use crate::link::LinkConfig;
-use crate::sim::{LinkId, NodeId, SimCore, Simulator};
+use crate::sim::{LinkId, NodeId, Simulator};
 use crate::stats::LinkStats;
 use crate::Tick;
 
@@ -80,29 +80,27 @@ impl FsmPath {
     }
 }
 
-/// One value naming the complete engine configuration: which simulator
-/// core, frame codec path and control-FSM engine a driver should run.
+/// One value naming the complete engine configuration: which frame
+/// codec path and control-FSM engine a driver should run.
 ///
-/// The three axes used to be set one builder at a time
-/// (`with_sim_core` / `with_frame_path` / `with_fsm_path`); collapsing
+/// The axes used to be set one builder at a time
+/// (`with_frame_path` / `with_fsm_path`); collapsing
 /// them into a single value keeps the configuration coherent — a sweep
 /// cell, a golden replay and a bench harness all pass the same thing —
 /// and gives unsupported combinations one loud refusal path
-/// ([`EngineConfigError`]) instead of three scattered ones. All engine
+/// ([`EngineConfigError`]) instead of scattered ones. All engine
 /// configurations of a given scenario are **behaviourally identical**
 /// (bit-identical transcripts, pinned by `tests/golden_parity.rs`);
 /// they differ only in cost, which is exactly why campaigns sweep them
 /// ([`Campaign::engines`](crate::campaign::Campaign::engines)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
-    /// Which engine core the driver should run the simulation on.
-    pub sim_core: SimCore,
     /// Which frame codec path endpoints should use.
     pub frame_path: FramePath,
     /// Which control-FSM engine endpoints should use.
     pub fsm_path: FsmPath,
     /// What the engine should observe while running ([`ObsConfig`]).
-    /// Unlike the three engine axes this is **not** a parity axis — it
+    /// Unlike the two engine axes this is **not** a parity axis — it
     /// must never change a run's transcript or result (pinned by the
     /// flight-parity suite, overhead measured by bench E16) — so
     /// [`EngineConfig::label`] and golden fixtures ignore it.
@@ -110,11 +108,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// An explicit configuration (the `Default` impl is the pooled /
+    /// An explicit configuration (the `Default` impl is the
     /// interpreted / typestate engine with observability off).
-    pub fn new(sim_core: SimCore, frame_path: FramePath, fsm_path: FsmPath) -> Self {
+    pub fn new(frame_path: FramePath, fsm_path: FsmPath) -> Self {
         EngineConfig {
-            sim_core,
             frame_path,
             fsm_path,
             obs: ObsConfig::default(),
@@ -128,37 +125,25 @@ impl EngineConfig {
         self
     }
 
-    /// The full engine product: every `SimCore` × `FramePath` ×
-    /// `FsmPath` combination (8 total), in a fixed order (core-major,
-    /// then frame path, then FSM path). This is the canonical
-    /// enumeration sweeps and the golden-parity suite iterate instead
-    /// of hand-rolling the cartesian product.
+    /// The full engine product: every `FramePath` × `FsmPath`
+    /// combination (4 total), in a fixed order (frame-path-major, then
+    /// FSM path). This is the canonical enumeration sweeps and the
+    /// golden-parity suite iterate instead of hand-rolling the
+    /// cartesian product.
     pub fn all() -> Vec<EngineConfig> {
-        let mut combos = Vec::with_capacity(8);
-        for sim_core in [SimCore::Pooled, SimCore::Legacy] {
-            for frame_path in [FramePath::Interpreted, FramePath::Compiled] {
-                for fsm_path in [FsmPath::Typestate, FsmPath::Compiled] {
-                    combos.push(EngineConfig {
-                        sim_core,
-                        frame_path,
-                        fsm_path,
-                        obs: ObsConfig::default(),
-                    });
-                }
+        let mut combos = Vec::with_capacity(4);
+        for frame_path in [FramePath::Interpreted, FramePath::Compiled] {
+            for fsm_path in [FsmPath::Typestate, FsmPath::Compiled] {
+                combos.push(EngineConfig::new(frame_path, fsm_path));
             }
         }
         combos
     }
 
     /// Canonical axis label, axes joined by `/` (e.g.
-    /// `"pooled/interpreted/typestate"`).
+    /// `"interpreted/typestate"`).
     pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.sim_core.as_str(),
-            self.frame_path.as_str(),
-            self.fsm_path.as_str()
-        )
+        format!("{}/{}", self.frame_path.as_str(), self.fsm_path.as_str())
     }
 }
 
@@ -256,11 +241,6 @@ pub struct ProtocolSpec {
     pub frame_path: FramePath,
     /// Which control-FSM engine endpoints should use (see [`FsmPath`]).
     pub fsm_path: FsmPath,
-    /// Which engine core the driver should run the simulation on. The
-    /// cores are behaviourally identical (bit-identical transcripts);
-    /// like [`frame_path`](ProtocolSpec::frame_path), this exists so
-    /// campaigns can put pure engine cost on an axis (experiment E13).
-    pub sim_core: SimCore,
     /// What the driver's simulator should observe while running. Not a
     /// parity axis (see [`EngineConfig::obs`]): drivers install it with
     /// `Simulator::set_obs`, and it never changes the transcript.
@@ -272,7 +252,7 @@ pub struct ProtocolSpec {
 
 impl ProtocolSpec {
     /// A spec for `name` with default tuning (window 1, timeout 150,
-    /// 200 retries, interpreted frame path, pooled engine core,
+    /// 200 retries, interpreted frame path, typestate FSM,
     /// observability off).
     pub fn new(name: impl Into<String>) -> Self {
         ProtocolSpec {
@@ -282,18 +262,16 @@ impl ProtocolSpec {
             max_retries: 200,
             frame_path: FramePath::default(),
             fsm_path: FsmPath::default(),
-            sim_core: SimCore::default(),
             obs: ObsConfig::default(),
             retransmit: RetransmitPolicy::default(),
         }
     }
 
     /// Selects the complete engine configuration in one step (builder
-    /// style) — the canonical way to pick the simulator core, frame
-    /// codec path and control-FSM engine together.
+    /// style) — the canonical way to pick the frame codec path and
+    /// control-FSM engine together.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.sim_core = engine.sim_core;
         self.frame_path = engine.frame_path;
         self.fsm_path = engine.fsm_path;
         self.obs = engine.obs;
@@ -303,7 +281,6 @@ impl ProtocolSpec {
     /// The engine configuration this spec currently carries.
     pub fn engine(&self) -> EngineConfig {
         EngineConfig {
-            sim_core: self.sim_core,
             frame_path: self.frame_path,
             fsm_path: self.fsm_path,
             obs: self.obs,
@@ -320,7 +297,7 @@ impl ProtocolSpec {
     /// Selects the frame codec path (builder style).
     ///
     /// Deprecated in favour of [`ProtocolSpec::with_engine`], which sets
-    /// all three engine axes coherently; kept as a thin delegate for
+    /// both engine axes coherently; kept as a thin delegate for
     /// callers that genuinely vary one axis.
     #[must_use]
     pub fn with_frame_path(self, frame_path: FramePath) -> Self {
@@ -334,26 +311,12 @@ impl ProtocolSpec {
     /// Selects the control-FSM engine (builder style).
     ///
     /// Deprecated in favour of [`ProtocolSpec::with_engine`], which sets
-    /// all three engine axes coherently; kept as a thin delegate for
+    /// both engine axes coherently; kept as a thin delegate for
     /// callers that genuinely vary one axis.
     #[must_use]
     pub fn with_fsm_path(self, fsm_path: FsmPath) -> Self {
         let engine = EngineConfig {
             fsm_path,
-            ..self.engine()
-        };
-        self.with_engine(engine)
-    }
-
-    /// Selects the engine core (builder style).
-    ///
-    /// Deprecated in favour of [`ProtocolSpec::with_engine`], which sets
-    /// all three engine axes coherently; kept as a thin delegate for
-    /// callers that genuinely vary one axis.
-    #[must_use]
-    pub fn with_sim_core(self, sim_core: SimCore) -> Self {
-        let engine = EngineConfig {
-            sim_core,
             ..self.engine()
         };
         self.with_engine(engine)
@@ -1231,24 +1194,20 @@ mod tests {
     #[test]
     fn engine_config_covers_the_full_product_without_duplicates() {
         let all = EngineConfig::all();
-        assert_eq!(all.len(), 8, "2 cores × 2 frame paths × 2 FSM paths");
+        assert_eq!(all.len(), 4, "2 frame paths × 2 FSM paths");
         let mut labels: Vec<String> = all.iter().map(EngineConfig::label).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), 8, "labels are unique");
+        assert_eq!(labels.len(), 4, "labels are unique");
         assert_eq!(all[0], EngineConfig::default(), "product starts at default");
-        assert_eq!(
-            EngineConfig::default().label(),
-            "pooled/interpreted/typestate"
-        );
+        assert_eq!(EngineConfig::default().label(), "interpreted/typestate");
     }
 
     #[test]
     fn with_engine_and_single_axis_delegates_agree() {
-        let engine = EngineConfig::new(SimCore::Legacy, FramePath::Compiled, FsmPath::Compiled);
+        let engine = EngineConfig::new(FramePath::Compiled, FsmPath::Compiled);
         let direct = ProtocolSpec::new("x").with_engine(engine);
         let delegated = ProtocolSpec::new("x")
-            .with_sim_core(SimCore::Legacy)
             .with_frame_path(FramePath::Compiled)
             .with_fsm_path(FsmPath::Compiled);
         assert_eq!(direct, delegated);
@@ -1264,7 +1223,7 @@ mod tests {
         };
         let text = err.to_string();
         assert!(text.contains("go-back-n"), "{text}");
-        assert!(text.contains("pooled/interpreted/typestate"), "{text}");
+        assert!(text.contains("interpreted/typestate"), "{text}");
         assert!(matches!(
             ScenarioError::from(err),
             ScenarioError::Unsupported(_)

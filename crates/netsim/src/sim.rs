@@ -9,10 +9,9 @@
 //!   lifetimes) are reused, so a warm campaign worker allocates nothing
 //!   per frame;
 //! * events are scheduled by a hierarchical timer wheel (the private
-//!   `wheel` module) instead of a binary heap, preserving the exact
-//!   `(at, seq)` pop order (property-tested against the heap, which is
-//!   retained as [`SimCore::Legacy`] — the measurement baseline of
-//!   experiment E13 and the ordering oracle of the wheel tests).
+//!   `wheel` module) in exact `(at, seq)` pop order — property-tested
+//!   against a binary-heap model in the wheel's own tests and on the
+//!   real simulator in `tests/heap_order.rs`.
 //!
 //! The original `Vec<u8>`-owning API ([`Simulator::send`],
 //! [`Simulator::step`]) still works and is what one-off tests use; the
@@ -27,8 +26,6 @@
 //! `docs/SESSIONS.md` for the parity argument.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use netdsl_obs::{
     Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig,
@@ -88,35 +85,6 @@ impl SessionId {
 
 /// Opaque caller-chosen identifier carried by timer events.
 pub type TimerToken = u64;
-
-/// Which engine internals a simulator runs on.
-///
-/// The two cores are **behaviourally identical** — same RNG draw
-/// sequence, same event order, bit-identical transcripts (pinned by
-/// `tests/wheel_oracle.rs` and the campaign determinism tests) — they
-/// differ only in cost. Campaigns can therefore put the core on an
-/// axis (`ProtocolSpec::with_sim_core`) and measure pure engine
-/// overhead, which is exactly what experiment E13 does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimCore {
-    /// Payload arena + timer wheel; zero allocation in steady state.
-    #[default]
-    Pooled,
-    /// The pre-arena core: binary-heap scheduler, owned `Vec<u8>`
-    /// frame buffers allocated and dropped per hop. Kept as the E13
-    /// measurement baseline and the wheel's ordering oracle.
-    Legacy,
-}
-
-impl SimCore {
-    /// Canonical axis label (`"pooled"` / `"legacy"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimCore::Pooled => "pooled",
-            SimCore::Legacy => "legacy",
-        }
-    }
-}
 
 /// Something delivered to a node by the simulator, with the frame
 /// payload owned (see [`EventRef`] for the zero-copy form).
@@ -184,7 +152,7 @@ struct Link {
     stats: LinkStats,
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug)]
 enum Pending {
     Frame {
         link: LinkId,
@@ -197,57 +165,6 @@ enum Pending {
     },
 }
 
-/// Heap entry ordered by `(at, seq)` via the derived field-order
-/// comparison; `seq` is a monotone insertion counter, so it is unique
-/// per entry and the trailing `what` field never actually participates
-/// in a comparison — the ordering is total and ties at equal `at`
-/// resolve by insertion order (property-tested in
-/// `tests/heap_order.rs`, and the timer wheel reproduces it exactly).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Scheduled {
-    at: Tick,
-    seq: u64,
-    what: Pending,
-}
-
-/// The event queue behind one simulator: the wheel (pooled core) or
-/// the original binary heap (legacy core / oracle).
-#[derive(Debug)]
-enum Queue {
-    Wheel(TimerWheel<Pending>),
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-}
-
-impl Queue {
-    fn push(&mut self, at: Tick, seq: u64, what: Pending) {
-        match self {
-            Queue::Wheel(w) => w.push(at, seq, what),
-            Queue::Heap(h) => h.push(Reverse(Scheduled { at, seq, what })),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Tick, u64, Pending)> {
-        match self {
-            Queue::Wheel(w) => w.pop(),
-            Queue::Heap(h) => h.pop().map(|Reverse(s)| (s.at, s.seq, s.what)),
-        }
-    }
-
-    fn peek_at(&self) -> Option<Tick> {
-        match self {
-            Queue::Wheel(w) => w.peek_at(),
-            Queue::Heap(h) => h.peek().map(|Reverse(s)| s.at),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Queue::Wheel(w) => w.is_empty(),
-            Queue::Heap(h) => h.is_empty(),
-        }
-    }
-}
-
 thread_local! {
     /// Warm `(arena, wheel)` pairs recycled across pooled simulators on
     /// this thread — how a campaign worker runs thousands of scenarios
@@ -256,9 +173,8 @@ thread_local! {
     ///
     /// The pool is **shard-aware by construction**: checkout is a
     /// `pop` (exclusive ownership transfer), so any number of pooled
-    /// simulators alive on one thread at once — e.g. a multiplexed
-    /// driver holding one simulator per [`SimCore`] group, or a golden
-    /// recorder nested inside a campaign worker — each hold disjoint
+    /// simulators alive on one thread at once — e.g. a golden recorder
+    /// nested inside a campaign worker — each hold disjoint
     /// structures and never observe each other's state. There is a
     /// regression test for exactly this
     /// (`two_live_pooled_simulators_on_one_thread_stay_disjoint`).
@@ -303,9 +219,10 @@ struct GoldenLog {
 pub struct Simulator {
     time: Tick,
     seq: u64,
-    queue: Queue,
+    /// Events in `(at, seq)` order; `seq` is a monotone insertion
+    /// counter, so ties at equal `at` resolve by insertion order.
+    queue: TimerWheel<Pending>,
     arena: PayloadArena,
-    core: SimCore,
     /// Struct-of-arrays session state: `rngs[s]` is session `s`'s
     /// impairment RNG stream, `session_links[s]` its connection table,
     /// `node_sessions[n]` the owning session of node `n`. Session 0
@@ -347,36 +264,17 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator whose randomness is fully determined by
-    /// `seed`, on the default [`SimCore::Pooled`] core.
+    /// `seed`. Its arena and wheel come from a thread-local recycling
+    /// pool (returned, reset, on drop).
     pub fn new(seed: u64) -> Self {
-        Simulator::with_core(seed, SimCore::default())
-    }
-
-    /// Creates a simulator on an explicit engine core. The pooled core
-    /// draws its arena and wheel from a thread-local recycling pool
-    /// (returned, reset, on drop); the legacy core allocates fresh so
-    /// baseline measurements stay honest.
-    pub fn with_core(seed: u64, core: SimCore) -> Self {
-        let (arena, queue) = match core {
-            SimCore::Pooled => {
-                let (arena, wheel) = CORE_POOL
-                    .with(|pool| pool.borrow_mut().pop())
-                    .unwrap_or_else(|| (PayloadArena::new(), TimerWheel::new()));
-                (arena, Queue::Wheel(wheel))
-            }
-            SimCore::Legacy => (
-                PayloadArena::new(),
-                // Pre-sized as the original engine was: window
-                // protocols keep dozens of frames and timers in flight.
-                Queue::Heap(BinaryHeap::with_capacity(256)),
-            ),
-        };
+        let (arena, queue) = CORE_POOL
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_else(|| (PayloadArena::new(), TimerWheel::new()));
         Simulator {
             time: 0,
             seq: 0,
             queue,
             arena,
-            core,
             rngs: vec![ChaCha12Rng::seed_from_u64(seed)],
             node_sessions: Vec::new(),
             session_links: vec![Vec::new()],
@@ -469,11 +367,6 @@ impl Simulator {
             }
             None => Vec::new(),
         }
-    }
-
-    /// Which engine core this simulator runs on.
-    pub fn core(&self) -> SimCore {
-        self.core
     }
 
     /// Current virtual time.
@@ -1202,14 +1095,8 @@ impl Simulator {
 
 impl Drop for Simulator {
     fn drop(&mut self) {
-        if self.core != SimCore::Pooled {
-            return;
-        }
         let arena = std::mem::take(&mut self.arena);
-        let queue = std::mem::replace(&mut self.queue, Queue::Heap(BinaryHeap::new()));
-        let Queue::Wheel(wheel) = queue else {
-            return;
-        };
+        let wheel = std::mem::replace(&mut self.queue, TimerWheel::hollow());
         CORE_POOL.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < CORE_POOL_CAP {
@@ -1417,31 +1304,6 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100), "different seeds should differ");
-    }
-
-    #[test]
-    fn cores_replay_each_other_bit_identically() {
-        // The engine-core determinism contract: same seed ⇒ identical
-        // transcript whichever scheduler/buffer strategy runs it.
-        let run = |core: SimCore| {
-            let mut sim = Simulator::with_core(42, core);
-            let a = sim.add_node();
-            let b = sim.add_node();
-            let ab = sim.add_link(a, b, LinkConfig::harsh(5));
-            let mut log = Vec::new();
-            for i in 0..200u8 {
-                sim.send(ab, vec![i; 8]);
-            }
-            sim.set_timer(a, 1000, 7);
-            while let Some(ev) = sim.step() {
-                match ev {
-                    Event::Frame { payload, .. } => log.push((sim.now(), payload)),
-                    Event::Timer { token, .. } => log.push((sim.now(), vec![token as u8])),
-                }
-            }
-            log
-        };
-        assert_eq!(run(SimCore::Pooled), run(SimCore::Legacy));
     }
 
     #[test]
@@ -1810,9 +1672,9 @@ mod tests {
 
     #[test]
     fn two_live_pooled_simulators_on_one_thread_stay_disjoint() {
-        // The multiplexed driver holds one simulator per core group, so
-        // two pooled simulators can be alive on one worker thread at
-        // once. Checkout is a pop: they must own disjoint structures.
+        // A golden recorder nested inside a campaign worker keeps two
+        // pooled simulators alive on one thread at once. Checkout is a
+        // pop: they must own disjoint structures.
         let work = |sim: &mut Simulator, tag: u8| {
             let a = sim.add_node();
             let b = sim.add_node();

@@ -1,9 +1,5 @@
 //! Hierarchical timer wheel: the simulator's event scheduler.
 //!
-//! Replaces the old `BinaryHeap<Reverse<Scheduled>>` (still available
-//! as [`SimCore::Legacy`](crate::sim::SimCore) — it is both the E13
-//! baseline and the ordering oracle for this module's property tests).
-//!
 //! Two levels:
 //!
 //! * a **near ring** of [`SLOTS`] one-tick buckets covering the window
@@ -19,9 +15,10 @@
 //! The ordering contract is exactly the heap's: entries pop in
 //! ascending `(at, seq)` where `seq` is the caller's monotone insertion
 //! counter — so simultaneous events pop in insertion order and a replay
-//! is bit-identical regardless of scheduler. Property tests below (and
-//! `tests/wheel_oracle.rs` end-to-end) pin the equivalence against a
-//! real `BinaryHeap` oracle.
+//! is bit-identical regardless of scheduler. Property tests below pin
+//! the equivalence against a real binary-heap oracle over the whole
+//! surface the simulator calls (`push`, `pop`, `peek_at`, `is_empty`),
+//! and `tests/heap_order.rs` pins the order on the real simulator.
 //!
 //! Pushing is only legal at or after the last popped tick (`at` never
 //! precedes the cursor) — trivially true for a discrete-event simulator
@@ -78,6 +75,22 @@ impl<E> Default for TimerWheel<E> {
 impl<E> TimerWheel<E> {
     pub(crate) fn new() -> Self {
         TimerWheel::default()
+    }
+
+    /// An empty wheel with no near ring, fit only to be dropped: what a
+    /// dropping simulator leaves behind when it hands its real wheel
+    /// back to the recycling pool, without allocating a replacement.
+    pub(crate) const fn hollow() -> Self {
+        TimerWheel {
+            base: 0,
+            cursor: 0,
+            near: Vec::new(),
+            occupied: [0; WORDS],
+            near_len: 0,
+            far: BTreeMap::new(),
+            spare_chunks: Vec::new(),
+            len: 0,
+        }
     }
 
     #[cfg(test)]
@@ -313,10 +326,15 @@ mod tests {
     /// Drives the wheel and a `BinaryHeap` oracle through the same
     /// random schedule of pushes (with colliding ticks, far-chunk
     /// delays and interleaved pops) and requires identical pop
-    /// sequences — the `(at, seq)` contract the simulator rests on.
+    /// sequences — the `(at, seq)` contract the simulator rests on —
+    /// with `peek_at` and `is_empty` agreeing after every operation.
     fn oracle_run(plan: &[(u64, u8)]) {
         let mut wheel = TimerWheel::new();
         let mut heap: BinaryHeap<Reverse<(Tick, u64)>> = BinaryHeap::new();
+        let agree = |wheel: &TimerWheel<u64>, heap: &BinaryHeap<Reverse<(Tick, u64)>>| {
+            assert_eq!(wheel.peek_at(), heap.peek().map(|Reverse((at, _))| *at));
+            assert_eq!(wheel.is_empty(), heap.is_empty());
+        };
         let mut now: Tick = 0;
         for (seq, &(delay, pops)) in plan.iter().enumerate() {
             let seq = seq as u64;
@@ -324,10 +342,12 @@ mod tests {
             let at = now + delay;
             wheel.push(at, seq, seq);
             heap.push(Reverse((at, seq)));
+            agree(&wheel, &heap);
             for _ in 0..pops {
                 let got = wheel.pop();
                 let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
                 assert_eq!(got, want, "wheel diverged from heap oracle");
+                agree(&wheel, &heap);
                 if let Some((at, _, _)) = got {
                     now = at;
                 }
@@ -337,6 +357,7 @@ mod tests {
             let got = wheel.pop();
             let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
             assert_eq!(got, want);
+            agree(&wheel, &heap);
             if got.is_none() {
                 break;
             }
@@ -354,6 +375,7 @@ mod tests {
                         0u64..4,                       // colliding ticks
                         0u64..(2 * SLOTS as u64),      // around the ring boundary
                         0u64..(20 * SLOTS as u64),     // deep far chunks
+                        0u64..100_000,                 // overflow depth
                     ],
                     0u8..3,
                 ),

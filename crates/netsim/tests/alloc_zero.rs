@@ -10,9 +10,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use netdsl_netsim::{EventRef, LinkConfig, SimCore, Simulator};
+use netdsl_netsim::{EventRef, LinkConfig, Simulator};
 
-/// The allocation counter is process-global, so the two tests in this
+/// The allocation counter is process-global, so the tests in this
 /// binary must not run concurrently — the default parallel harness
 /// would let the owned-buffer test's allocations land inside the
 /// zero-allocation measurement window. Each test holds this lock for
@@ -83,7 +83,7 @@ fn frame_hot_path_is_allocation_free_once_warm() {
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
-    let mut sim = Simulator::with_core(3, SimCore::Pooled);
+    let mut sim = Simulator::new(3);
     // Small trace ring so it saturates during warm-up; after that,
     // recording overwrites in place.
     sim.set_trace_capacity(64);
@@ -119,7 +119,7 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
         .lock()
         .expect("counter tests never panic while locked");
     netdsl_obs::set_metrics_enabled(true);
-    let mut sim = Simulator::with_core(3, SimCore::Pooled);
+    let mut sim = Simulator::new(3);
     sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
@@ -142,14 +142,14 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
 }
 
 #[test]
-fn legacy_core_allocates_per_frame_for_contrast() {
-    // The baseline the arena replaced: every send allocates an owned
-    // buffer. This guards the test harness itself — if the counter
-    // stopped counting, the zero assertion above would be vacuous.
+fn owned_send_path_allocates_per_frame_for_contrast() {
+    // The owned-buffer API: the caller's `vec!` allocates per frame.
+    // This guards the test harness itself — if the counter stopped
+    // counting, the zero assertions above would be vacuous.
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
-    let mut sim = Simulator::with_core(3, SimCore::Legacy);
+    let mut sim = Simulator::new(3);
     sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();

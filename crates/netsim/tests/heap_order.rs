@@ -1,5 +1,5 @@
-//! Property tests for the event queue's ordering contract: the derived
-//! `(at, seq)` ordering on heap entries is total, time never runs
+//! Property tests for the event queue's ordering contract: the
+//! `(at, seq)` ordering of queued events is total, time never runs
 //! backwards, and events scheduled for the *same* tick pop in insertion
 //! order — the determinism guarantee every replayable scenario rests on.
 

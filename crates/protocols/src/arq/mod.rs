@@ -30,7 +30,6 @@ pub mod typestate;
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::SimCore;
 use netdsl_wire::checksum::ChecksumKind;
 
 use crate::codec::arq_codec;
@@ -220,28 +219,15 @@ impl ArqFrame {
     }
 }
 
-/// Transmits an ARQ data frame, honouring the engine core (pooled:
-/// encode into an arena buffer with the payload borrowed; legacy: the
-/// pre-arena owned-`Vec` path, kept as the E13 baseline).
+/// Transmits an ARQ data frame, encoded into an arena buffer with the
+/// payload borrowed.
 pub(crate) fn send_data(io: &mut Io<'_>, path: FramePath, seq: u8, payload: &[u8]) {
-    match io.core() {
-        SimCore::Pooled => io.send_with(|buf| ArqFrame::encode_data_into(path, seq, payload, buf)),
-        SimCore::Legacy => io.send(
-            ArqFrame::Data {
-                seq,
-                payload: payload.to_vec(),
-            }
-            .encode_via(path),
-        ),
-    }
+    io.send_with(|buf| ArqFrame::encode_data_into(path, seq, payload, buf));
 }
 
-/// Transmits an ARQ ack frame, honouring the engine core.
+/// Transmits an ARQ ack frame into an arena buffer.
 pub(crate) fn send_ack(io: &mut Io<'_>, path: FramePath, seq: u8) {
-    match io.core() {
-        SimCore::Pooled => io.send_with(|buf| ArqFrame::encode_ack_into(path, seq, buf)),
-        SimCore::Legacy => io.send(ArqFrame::Ack { seq }.encode_via(path)),
-    }
+    io.send_with(|buf| ArqFrame::encode_ack_into(path, seq, buf));
 }
 
 #[cfg(test)]

@@ -139,8 +139,8 @@ impl SwSender {
         }
         let seq = machine.data().seq;
         // The wire frame borrows the payload from the message store
-        // (pooled core: encoded straight into an arena buffer, no
-        // clone); the typestate machine still takes its own copy — the
+        // (encoded straight into an arena buffer, no clone); the
+        // typestate machine still takes its own copy — the
         // paper's SEND transition owns the in-flight payload.
         send_data(io, self.path, seq, &self.messages[self.next_msg]);
         let waiting = machine.step(Send {

@@ -22,8 +22,7 @@ use netdsl_netsim::scenario::{
     apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario, ScenarioResult,
 };
 use netdsl_netsim::{
-    EventRef, LinkConfig, LinkId, LinkStats, NodeId, SessionId, SimCore, Simulator, Tick,
-    TimerToken,
+    EventRef, LinkConfig, LinkId, LinkStats, NodeId, SessionId, Simulator, Tick, TimerToken,
 };
 
 /// I/O capabilities handed to an endpoint during a callback.
@@ -53,18 +52,10 @@ impl Io<'_> {
     }
 
     /// Transmits a frame encoded by `fill` directly into a pooled
-    /// arena buffer — the allocation-free send path. Endpoints that
-    /// honour the engine core (see [`Io::core`]) use this on
-    /// [`SimCore::Pooled`] and fall back to [`Io::send`] on
-    /// [`SimCore::Legacy`].
+    /// arena buffer — the allocation-free send path.
     pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         let frame = self.sim.alloc_payload_with(fill);
         self.sim.send_ref(self.out_link, frame);
-    }
-
-    /// Which engine core the underlying simulator runs on.
-    pub fn core(&self) -> SimCore {
-        self.sim.core()
     }
 
     /// Arms a timer that will fire `delay` ticks from now with `token`.
@@ -183,17 +174,9 @@ pub struct Duplex<A, B> {
 }
 
 impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
-    /// Builds the two-node world with symmetric link configuration on
-    /// the default (pooled) engine core.
+    /// Builds the two-node world with symmetric link configuration.
     pub fn new(seed: u64, config: LinkConfig, a: A, b: B) -> Self {
-        Duplex::with_core(seed, config, SimCore::default(), a, b)
-    }
-
-    /// Builds the two-node world on an explicit engine core (the two
-    /// cores replay each other bit-identically; `Legacy` is the E13
-    /// measurement baseline).
-    pub fn with_core(seed: u64, config: LinkConfig, core: SimCore, a: A, b: B) -> Self {
-        let (sim, world) = duplex_world(seed, config, core);
+        let (sim, world) = duplex_world(seed, config);
         Duplex {
             sim,
             ends: (a, b),
@@ -276,14 +259,10 @@ pub(crate) fn wire(sim: &mut Simulator, session: SessionId, config: LinkConfig) 
     }
 }
 
-/// A fresh single-session simulator on `core`, wired as one duplex
-/// session (session 0).
-pub(crate) fn duplex_world(
-    seed: u64,
-    config: LinkConfig,
-    core: SimCore,
-) -> (Simulator, FaultWorld) {
-    let mut sim = Simulator::with_core(seed, core);
+/// A fresh single-session simulator, wired as one duplex session
+/// (session 0).
+pub(crate) fn duplex_world(seed: u64, config: LinkConfig) -> (Simulator, FaultWorld) {
+    let mut sim = Simulator::new(seed);
     let session = sim.default_session();
     let world = wire(&mut sim, session, config);
     (sim, world)
@@ -307,8 +286,7 @@ pub(crate) fn start<D: Dispatch + ?Sized>(sim: &mut Simulator, world: &FaultWorl
 /// Hands one popped event to the endpoint on its node's side. A frame's
 /// payload buffer is detached from the arena (a move, not a copy), lent
 /// to the endpoint, and recycled afterwards — zero allocation in steady
-/// state on the pooled core. The legacy core drops the buffer instead,
-/// reproducing the pre-arena engine's per-frame free.
+/// state.
 pub(crate) fn dispatch<D: Dispatch + ?Sized>(
     sim: &mut Simulator,
     world: &FaultWorld,
@@ -327,9 +305,7 @@ pub(crate) fn dispatch<D: Dispatch + ?Sized>(
             let frame = sim.detach_payload(payload);
             let side = side_of(node);
             d.frame(side, &frame, &mut io(sim, world, side));
-            if sim.core() == SimCore::Pooled {
-                sim.recycle_payload(frame);
-            }
+            sim.recycle_payload(frame);
         }
         EventRef::Timer { node, token } => {
             let side = side_of(node);
@@ -413,26 +389,8 @@ pub(crate) fn run_scenario<D: Dispatch + ?Sized>(
 ) -> Tick {
     sim.set_obs(scenario.protocol.obs);
     let faults = planned_faults(scenario);
-    on_core(scenario.protocol.sim_core, || {
-        start(sim, world, d);
-        pump(sim, world, d, &faults, scenario.deadline)
-    })
-}
-
-/// Runs `body` (a scenario's start phase and pump) with the checksum
-/// engine `core` calls for. A legacy-core run is a measurement baseline:
-/// it reconstructs the whole pre-simcore hot path, including the
-/// byte-at-a-time checksum engine the optimised one is property-tested
-/// against. Checksum values are identical either way, so results never
-/// depend on the mode.
-pub(crate) fn on_core<T>(core: SimCore, body: impl FnOnce() -> T) -> T {
-    let restore_fast_path =
-        core == SimCore::Legacy && !netdsl_wire::checksum::set_reference_mode(true);
-    let out = body();
-    if restore_fast_path {
-        netdsl_wire::checksum::set_reference_mode(false);
-    }
-    out
+    start(sim, world, d);
+    pump(sim, world, d, &faults, scenario.deadline)
 }
 
 /// Folds a finished session into the driver-independent result shape —
@@ -440,24 +398,12 @@ pub(crate) fn on_core<T>(core: SimCore, body: impl FnOnce() -> T) -> T {
 /// frames_sent, retransmissions)`; `link` holds the session's link
 /// counters.
 pub(crate) fn fold(
-    core: SimCore,
     elapsed: Tick,
     outcome: (bool, u64, u64),
     offered: &[Vec<u8>],
     delivered: &[Vec<u8>],
     link: LinkStats,
 ) -> ScenarioResult {
-    // The legacy core is the measurement baseline for the whole
-    // pre-simcore path, which cloned the offered and delivered message
-    // lists once per scenario; reproduce those copies so E13 compares
-    // like against like. The pooled path compares borrowed slices.
-    let copies;
-    let (offered, delivered) = if core == SimCore::Legacy {
-        copies = (offered.to_vec(), delivered.to_vec());
-        (&copies.0[..], &copies.1[..])
-    } else {
-        (offered, delivered)
-    };
     let (sender_succeeded, frames_sent, retransmissions) = outcome;
     ScenarioResult {
         success: sender_succeeded && delivered == offered,

@@ -33,11 +33,11 @@
 
 use netdsl_netsim::campaign::BatchDriver;
 use netdsl_netsim::scenario::{FaultWorld, PlannedFault, Scenario, ScenarioError, ScenarioResult};
-use netdsl_netsim::{EventRef, ObsConfig, SessionId, SimCore, Simulator, Tick};
+use netdsl_netsim::{EventRef, ObsConfig, SessionId, Simulator, Tick};
 use netdsl_obs::{Counter, Gauge};
 
 use crate::driver::{
-    apply_faults, dispatch, duplex_world, fold, on_core, planned_faults, run_scenario, start, wire,
+    apply_faults, dispatch, duplex_world, fold, planned_faults, run_scenario, start, wire,
 };
 use crate::golden::Observed;
 use crate::registry::{self, SessionEndpoints};
@@ -85,9 +85,8 @@ impl Slot {
 }
 
 /// [`BatchDriver`] that multiplexes a batch of duplex suite scenarios
-/// onto shared simulators — one per engine core present in the batch,
-/// since [`SimCore`] decides the simulator's construction. Results come
-/// back in batch order, bit-identical to standalone
+/// onto one shared simulator. Results come back in batch order,
+/// bit-identical to standalone
 /// [`SuiteDriver`](crate::scenario::SuiteDriver) runs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MultiSessionDriver;
@@ -107,23 +106,17 @@ impl BatchDriver for MultiSessionDriver {
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
         let mut results: Vec<Option<Result<ScenarioResult, ScenarioError>>> =
             batch.iter().map(|_| None).collect();
-        // Scenarios the registry refuses error in place; the rest group
-        // by engine core (batch order preserved within a group).
-        let mut pooled = Vec::new();
-        let mut legacy = Vec::new();
+        // Scenarios the registry refuses error in place; the rest run
+        // together (batch order preserved).
+        let mut group = Vec::new();
         for (i, scenario) in batch.iter().enumerate() {
             match registry::session(scenario) {
                 Err(e) => results[i] = Some(Err(e)),
-                Ok(pair) => match scenario.protocol.sim_core {
-                    SimCore::Pooled => pooled.push((i, pair)),
-                    SimCore::Legacy => legacy.push((i, pair)),
-                },
+                Ok(pair) => group.push((i, pair)),
             }
         }
-        for (core, group) in [(SimCore::Pooled, pooled), (SimCore::Legacy, legacy)] {
-            if !group.is_empty() {
-                run_group(core, group, batch, &mut results);
-            }
+        if !group.is_empty() {
+            run_group(group, batch, &mut results);
         }
         results
             .into_iter()
@@ -132,11 +125,10 @@ impl BatchDriver for MultiSessionDriver {
     }
 }
 
-/// Runs one core's worth of registry-built sessions (each with its
-/// batch index) as sessions of a single simulator and writes each
-/// result into its original batch slot.
+/// Runs registry-built sessions (each with its batch index) as
+/// sessions of a single simulator and writes each result into its
+/// original batch slot.
 fn run_group(
-    core: SimCore,
     group: Vec<(usize, Box<dyn SessionEndpoints>)>,
     batch: &[Scenario],
     results: &mut [Option<Result<ScenarioResult, ScenarioError>>],
@@ -145,7 +137,7 @@ fn run_group(
     // stream is session 0), every further scenario is an added session.
     // Node ids are dense and allocated here in order, so a flat vector
     // maps any event's node straight to its slot.
-    let mut sim = Simulator::with_core(batch[group[0].0].seed, core);
+    let mut sim = Simulator::new(batch[group[0].0].seed);
     let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
     let mut node_slot: Vec<usize> = Vec::with_capacity(group.len() * 2);
     for (k, (index, pair)) in group.into_iter().enumerate() {
@@ -181,75 +173,72 @@ fn run_group(
     sim.set_obs(obs);
     MUX_SESSIONS_RUN.add(slots.len() as u64);
 
-    on_core(core, || {
-        // Start phase: all starts happen at tick 0, before any event is
-        // popped — just as each standalone run starts its endpoints
-        // before pumping. Sessions that need no events (empty transfers)
-        // close immediately with elapsed 0.
-        let mut open = slots.len();
-        for slot in &mut slots {
-            start(&mut sim, &slot.world, &mut *slot.pair);
-            if slot.pair.done() {
-                slot.closed = true;
-                open -= 1;
-            }
+    // Start phase: all starts happen at tick 0, before any event is
+    // popped — just as each standalone run starts its endpoints
+    // before pumping. Sessions that need no events (empty transfers)
+    // close immediately with elapsed 0.
+    let mut open = slots.len();
+    for slot in &mut slots {
+        start(&mut sim, &slot.world, &mut *slot.pair);
+        if slot.pair.done() {
+            slot.closed = true;
+            open -= 1;
         }
+    }
 
-        // Batched pump: one wheel pop per tick drains every session's
-        // due events in global (at, seq) order — the exact relative
-        // order each session's standalone pump would have produced.
-        let mut events: Vec<EventRef> = Vec::new();
-        // Gauge of in-flight sessions, updated by delta so concurrent
-        // groups on other threads compose instead of clobbering.
-        MUX_OPEN_SESSIONS.add(open as i64);
-        let mut last_open = open;
-        while open > 0 && sim.drain_tick(&mut events).is_some() {
-            for event in events.drain(..) {
-                let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
-                let slot = &mut slots[node_slot[node.index()]];
-                match event {
-                    // A closed session's events (done, or past its
-                    // deadline) are events a standalone run would never
-                    // have popped: retract the delivery count / consume
-                    // the cancellation and drop them.
-                    EventRef::Frame { link, payload, .. } if slot.closed => {
-                        sim.skip_delivery(link);
-                        sim.release_payload(payload);
-                    }
-                    // A crash applied mid-tick: this event was drained
-                    // before the crash landed, so the pop-time dead check
-                    // never saw it. A standalone pump pops it after the
-                    // crash and drops it; do the same here (without
-                    // settling — standalone applies fault boundaries only
-                    // after *dispatched* events).
-                    EventRef::Frame { link, payload, .. } if sim.node_is_down(node) => {
-                        sim.drop_delivery(link, payload);
-                    }
-                    // Timers: a cancellation a handler earlier in this
-                    // tick left pending is consumed first (for closed
-                    // sessions too), then the same two drops apply.
-                    EventRef::Timer { token, .. }
-                        if sim.consume_cancellation(node, token)
-                            || slot.closed
-                            || sim.node_is_down(node) => {}
-                    event => {
-                        dispatch(&mut sim, &slot.world, &mut *slot.pair, event);
-                        slot.settle(&mut sim, &mut open);
-                    }
+    // Batched pump: one wheel pop per tick drains every session's
+    // due events in global (at, seq) order — the exact relative
+    // order each session's standalone pump would have produced.
+    let mut events: Vec<EventRef> = Vec::new();
+    // Gauge of in-flight sessions, updated by delta so concurrent
+    // groups on other threads compose instead of clobbering.
+    MUX_OPEN_SESSIONS.add(open as i64);
+    let mut last_open = open;
+    while open > 0 && sim.drain_tick(&mut events).is_some() {
+        for event in events.drain(..) {
+            let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
+            let slot = &mut slots[node_slot[node.index()]];
+            match event {
+                // A closed session's events (done, or past its
+                // deadline) are events a standalone run would never
+                // have popped: retract the delivery count / consume
+                // the cancellation and drop them.
+                EventRef::Frame { link, payload, .. } if slot.closed => {
+                    sim.skip_delivery(link);
+                    sim.release_payload(payload);
+                }
+                // A crash applied mid-tick: this event was drained
+                // before the crash landed, so the pop-time dead check
+                // never saw it. A standalone pump pops it after the
+                // crash and drops it; do the same here (without
+                // settling — standalone applies fault boundaries only
+                // after *dispatched* events).
+                EventRef::Frame { link, payload, .. } if sim.node_is_down(node) => {
+                    sim.drop_delivery(link, payload);
+                }
+                // Timers: a cancellation a handler earlier in this
+                // tick left pending is consumed first (for closed
+                // sessions too), then the same two drops apply.
+                EventRef::Timer { token, .. }
+                    if sim.consume_cancellation(node, token)
+                        || slot.closed
+                        || sim.node_is_down(node) => {}
+                event => {
+                    dispatch(&mut sim, &slot.world, &mut *slot.pair, event);
+                    slot.settle(&mut sim, &mut open);
                 }
             }
-            if open != last_open {
-                MUX_OPEN_SESSIONS.add(open as i64 - last_open as i64);
-                last_open = open;
-            }
         }
-        MUX_OPEN_SESSIONS.add(-(last_open as i64));
-    });
+        if open != last_open {
+            MUX_OPEN_SESSIONS.add(open as i64 - last_open as i64);
+            last_open = open;
+        }
+    }
+    MUX_OPEN_SESSIONS.add(-(last_open as i64));
 
     for slot in &slots {
         let ab_sent = sim.link_stats(slot.world.link_ab).sent;
         results[slot.index] = Some(Ok(fold(
-            core,
             slot.now,
             slot.pair.outcome(ab_sent),
             slot.pair.offered(),
@@ -274,8 +263,7 @@ pub fn run_session_stepped(
     pair: &mut dyn SessionEndpoints,
     record: bool,
 ) -> (ScenarioResult, Simulator) {
-    let core = scenario.protocol.sim_core;
-    let (mut sim, world) = duplex_world(scenario.seed, scenario.link.clone(), core);
+    let (mut sim, world) = duplex_world(scenario.seed, scenario.link.clone());
     let elapsed = if record {
         sim.record_golden(true);
         run_scenario(scenario, &mut sim, &world, &mut Observed(&mut *pair))
@@ -284,7 +272,6 @@ pub fn run_session_stepped(
     };
     let ab_sent = sim.link_stats(world.link_ab).sent;
     let result = fold(
-        core,
         elapsed,
         pair.outcome(ab_sent),
         pair.offered(),
@@ -305,8 +292,8 @@ mod tests {
     use netdsl_netsim::LinkConfig;
 
     /// A deliberately heterogeneous batch: every protocol, varied
-    /// impairments, both engine cores, both frame paths, a compiled
-    /// FSM, a fault schedule and a deadline-bound lossy session.
+    /// impairments, both frame paths, a compiled FSM, a fault schedule
+    /// and a deadline-bound lossy session.
     fn mixed_batch() -> Vec<Scenario> {
         let mk = |name: &str, window: u32, link: LinkConfig, seed: u64| {
             Scenario::new(
@@ -335,10 +322,6 @@ mod tests {
         ];
         batch[1].protocol = batch[1].protocol.clone().with_engine(EngineConfig {
             frame_path: FramePath::Compiled,
-            ..EngineConfig::default()
-        });
-        batch[2].protocol = batch[2].protocol.clone().with_engine(EngineConfig {
-            sim_core: SimCore::Legacy,
             ..EngineConfig::default()
         });
         batch[4].protocol = batch[4].protocol.clone().with_engine(EngineConfig {
@@ -410,16 +393,14 @@ mod tests {
 
     #[test]
     fn batch_results_come_back_in_batch_order() {
-        // Interleave cores so the two groups scatter back into slots.
+        // Interleave refused scenarios so the sessions that run scatter
+        // back into non-contiguous slots.
         let base = mixed_batch().remove(0);
         let batch: Vec<_> = (0..10)
             .map(|i| {
                 let mut s = base.clone().with_seed(100 + i as u64);
-                if i % 2 == 1 {
-                    s.protocol = s.protocol.clone().with_engine(EngineConfig {
-                        sim_core: SimCore::Legacy,
-                        ..EngineConfig::default()
-                    });
+                if i % 3 == 1 {
+                    s.protocol.name = "nonesuch".into();
                 }
                 s
             })
@@ -427,12 +408,7 @@ mod tests {
         let solo = SuiteDriver::new();
         let got = MultiSessionDriver::new().run_batch(&batch);
         for (scenario, got) in batch.iter().zip(got) {
-            assert_eq!(
-                got.unwrap(),
-                solo.run(scenario).unwrap(),
-                "{}",
-                scenario.name
-            );
+            assert_eq!(got, solo.run(scenario), "{}", scenario.name);
         }
     }
 }

@@ -73,8 +73,8 @@ impl ScenarioDriver for SuiteDriver {
 }
 
 /// Runs `scenario` with caller-built endpoints on a [`Duplex`] world
-/// (on the scenario's engine core) through the same pump, fault
-/// schedule and result fold as [`SuiteDriver`] — the entry point for
+/// through the same pump, fault schedule and result fold as
+/// [`SuiteDriver`] — the entry point for
 /// drivers that wrap or replace the suite's endpoints. `stats_of`
 /// extracts `(sender_succeeded, frames_sent, retransmissions)`;
 /// `offered_of` / `delivered_of` borrow the offered and delivered
@@ -88,11 +88,9 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     offered_of: impl Fn(&A) -> &[Vec<u8>],
     delivered_of: impl Fn(&B) -> &[Vec<u8>],
 ) -> ScenarioResult {
-    let core = scenario.protocol.sim_core;
-    let mut duplex = Duplex::with_core(scenario.seed, scenario.link.clone(), core, a, b);
+    let mut duplex = Duplex::new(scenario.seed, scenario.link.clone(), a, b);
     let elapsed = duplex.run_scenario(scenario);
     fold(
-        core,
         elapsed,
         stats_of(&duplex),
         offered_of(duplex.a()),
@@ -105,7 +103,8 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
 mod tests {
     use super::*;
     use netdsl_netsim::scenario::{
-        EngineConfig, Fault, FaultDirection, FsmPath, ProtocolSpec, TopologySpec, TrafficPattern,
+        EngineConfig, Fault, FaultDirection, FramePath, FsmPath, ProtocolSpec, TopologySpec,
+        TrafficPattern,
     };
     use netdsl_netsim::LinkConfig;
 
@@ -229,18 +228,18 @@ mod tests {
     fn drive_duplex_matches_the_suite_driver() {
         // Caller-built endpoints on a `Duplex` world run the same pump,
         // fault schedule and result fold as the registry's session, on
-        // either engine core.
+        // either frame path.
         use crate::gbn::{GbnReceiver, GbnSender};
         use netdsl_netsim::scenario::FaultNode;
         let crashed = base(GO_BACK_N)
             .with_fault(Fault::crash(40, FaultNode::B))
             .with_fault(Fault::restart(600, FaultNode::B));
-        let mut legacy = crashed.clone();
-        legacy.protocol = legacy.protocol.clone().with_engine(EngineConfig {
-            sim_core: netdsl_netsim::SimCore::Legacy,
+        let mut compiled = crashed.clone();
+        compiled.protocol = compiled.protocol.clone().with_engine(EngineConfig {
+            frame_path: FramePath::Compiled,
             ..EngineConfig::default()
         });
-        for scenario in [base(GO_BACK_N), crashed, legacy] {
+        for scenario in [base(GO_BACK_N), crashed, compiled] {
             let spec = &scenario.protocol;
             let messages = scenario.traffic.generate();
             let n = messages.len();

@@ -104,7 +104,7 @@ impl SrSender {
 
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
-        // retransmission costs no clone (pooled core).
+        // retransmission costs no clone.
         send_data(io, self.path, seq, &self.messages[seq as usize]);
         self.stats.frames_sent += 1;
         // Per-packet timer: token is the sequence number itself.

@@ -84,31 +84,6 @@ pub struct ChecksumEngine {
     pending: Option<u8>,
 }
 
-thread_local! {
-    /// When set, [`ChecksumEngine`] runs its byte-at-a-time reference
-    /// implementation instead of the sliced/table-driven fast path.
-    static REFERENCE_MODE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Switches this thread's [`ChecksumEngine`]s between the optimised
-/// path and the byte-at-a-time reference implementation (the engine as
-/// originally written). Returns the previous setting so callers can
-/// restore it.
-///
-/// The two paths produce **identical values** (property-tested); the
-/// reference exists as the oracle those tests pin the fast path
-/// against, and as the measurement baseline: `SimCore::Legacy`
-/// simulations run it so that experiment E13 compares the current
-/// frame hot path against the genuine pre-optimisation one.
-pub fn set_reference_mode(on: bool) -> bool {
-    REFERENCE_MODE.with(|m| m.replace(on))
-}
-
-/// `true` while this thread's engines run the reference path.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.with(|m| m.get())
-}
-
 impl ChecksumEngine {
     /// Fresh state for `kind` (equivalent to having fed no bytes).
     pub fn new(kind: ChecksumKind) -> Self {
@@ -136,12 +111,6 @@ impl ChecksumEngine {
     /// is the single largest per-frame cost in a protocol simulation,
     /// so this loop is what campaign throughput (E11/E13) mostly buys.
     pub fn update(&mut self, data: &[u8]) {
-        if reference_mode() {
-            for &byte in data {
-                self.push_reference(byte);
-            }
-            return;
-        }
         match self.kind {
             ChecksumKind::Arq => {
                 // Ones'-complement byte sum: accumulate raw in u32 and
@@ -260,12 +229,6 @@ impl ChecksumEngine {
         if n == 0 {
             return;
         }
-        if reference_mode() {
-            for _ in 0..n {
-                self.push_reference(0);
-            }
-            return;
-        }
         match self.kind {
             ChecksumKind::Arq => {}
             ChecksumKind::Internet => {
@@ -313,63 +276,6 @@ impl ChecksumEngine {
                     self.update(&ZEROS[..take]);
                     left -= take;
                 }
-            }
-        }
-    }
-
-    /// One byte through the reference (pre-optimisation) path: a match
-    /// on the kind per byte, bitwise CRCs, per-byte modular reductions
-    /// — the engine exactly as originally written. Kept as the oracle
-    /// for the fast path's equivalence proptests and as the
-    /// `SimCore::Legacy` measurement baseline (see
-    /// [`set_reference_mode`]).
-    fn push_reference(&mut self, byte: u8) {
-        match self.kind {
-            ChecksumKind::Arq => {
-                let mut sum = self.a + u32::from(byte);
-                sum = (sum & 0xFF) + (sum >> 8);
-                self.a = sum;
-            }
-            ChecksumKind::Internet => match self.pending.take() {
-                Some(hi) => {
-                    self.a += u32::from(u16::from_be_bytes([hi, byte]));
-                    if self.a >= 0xFFFF_0000 {
-                        self.a = (self.a & 0xFFFF) + (self.a >> 16);
-                    }
-                }
-                None => self.pending = Some(byte),
-            },
-            ChecksumKind::Fletcher16 => {
-                self.a = (self.a + u32::from(byte)) % 255;
-                self.b = (self.b + self.a) % 255;
-            }
-            ChecksumKind::Fletcher32 => match self.pending.take() {
-                Some(hi) => {
-                    let w = u32::from(u16::from_be_bytes([hi, byte]));
-                    self.a = (self.a + w) % 65535;
-                    self.b = (self.b + self.a) % 65535;
-                }
-                None => self.pending = Some(byte),
-            },
-            ChecksumKind::Adler32 => {
-                const MOD: u32 = 65521;
-                self.a = (self.a + u32::from(byte)) % MOD;
-                self.b = (self.b + self.a) % MOD;
-            }
-            ChecksumKind::Crc16Ccitt => {
-                let mut crc = self.a as u16;
-                crc ^= u16::from(byte) << 8;
-                for _ in 0..8 {
-                    crc = if crc & 0x8000 != 0 {
-                        (crc << 1) ^ 0x1021
-                    } else {
-                        crc << 1
-                    };
-                }
-                self.a = u32::from(crc);
-            }
-            ChecksumKind::Crc32Ieee => {
-                self.a = crc32_table()[usize::from((self.a as u8) ^ byte)] ^ (self.a >> 8);
             }
         }
     }
@@ -629,6 +535,63 @@ mod tests {
 
     const CHECK_STR: &[u8] = b"123456789";
 
+    impl ChecksumEngine {
+        /// One byte through the reference (pre-optimisation) path: a match
+        /// on the kind per byte, bitwise CRCs, per-byte modular reductions
+        /// — the engine exactly as originally written, kept as the oracle
+        /// the fast path's equivalence proptest pins against.
+        fn push_reference(&mut self, byte: u8) {
+            match self.kind {
+                ChecksumKind::Arq => {
+                    let mut sum = self.a + u32::from(byte);
+                    sum = (sum & 0xFF) + (sum >> 8);
+                    self.a = sum;
+                }
+                ChecksumKind::Internet => match self.pending.take() {
+                    Some(hi) => {
+                        self.a += u32::from(u16::from_be_bytes([hi, byte]));
+                        if self.a >= 0xFFFF_0000 {
+                            self.a = (self.a & 0xFFFF) + (self.a >> 16);
+                        }
+                    }
+                    None => self.pending = Some(byte),
+                },
+                ChecksumKind::Fletcher16 => {
+                    self.a = (self.a + u32::from(byte)) % 255;
+                    self.b = (self.b + self.a) % 255;
+                }
+                ChecksumKind::Fletcher32 => match self.pending.take() {
+                    Some(hi) => {
+                        let w = u32::from(u16::from_be_bytes([hi, byte]));
+                        self.a = (self.a + w) % 65535;
+                        self.b = (self.b + self.a) % 65535;
+                    }
+                    None => self.pending = Some(byte),
+                },
+                ChecksumKind::Adler32 => {
+                    const MOD: u32 = 65521;
+                    self.a = (self.a + u32::from(byte)) % MOD;
+                    self.b = (self.b + self.a) % MOD;
+                }
+                ChecksumKind::Crc16Ccitt => {
+                    let mut crc = self.a as u16;
+                    crc ^= u16::from(byte) << 8;
+                    for _ in 0..8 {
+                        crc = if crc & 0x8000 != 0 {
+                            (crc << 1) ^ 0x1021
+                        } else {
+                            crc << 1
+                        };
+                    }
+                    self.a = u32::from(crc);
+                }
+                ChecksumKind::Crc32Ieee => {
+                    self.a = crc32_table()[usize::from((self.a as u8) ^ byte)] ^ (self.a >> 8);
+                }
+            }
+        }
+    }
+
     #[test]
     fn crc32_known_vector() {
         // Standard check value for "123456789".
@@ -809,8 +772,7 @@ mod tests {
 
         /// The sliced/deferred-reduction fast path of the streaming
         /// engine equals its byte-at-a-time reference implementation
-        /// over arbitrary run/zero-run interleavings — the law that
-        /// makes `set_reference_mode` a pure measurement knob.
+        /// over arbitrary run/zero-run interleavings.
         #[test]
         fn engine_fast_path_matches_reference_path(
             runs in proptest::collection::vec(
@@ -824,13 +786,13 @@ mod tests {
                     fast.update(data);
                     fast.update_zeros(*zeros);
                 }
-                let was = set_reference_mode(true);
                 let mut reference = ChecksumEngine::new(kind);
-                for (data, zeros) in &runs {
-                    reference.update(data);
-                    reference.update_zeros(*zeros);
+                for &byte in runs
+                    .iter()
+                    .flat_map(|(data, zeros)| data.iter().chain(std::iter::repeat_n(&0, *zeros)))
+                {
+                    reference.push_reference(byte);
                 }
-                set_reference_mode(was);
                 prop_assert_eq!(fast.finish(), reference.finish(), "{:?}", kind);
             }
         }

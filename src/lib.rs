@@ -120,9 +120,7 @@ pub use netdsl_core as core;
 /// Deterministic network simulator (loss, duplication, corruption,
 /// jitter) with a zero-allocation frame hot path: payloads live in a
 /// refcounted arena ([`netsim::PayloadArena`]) and events schedule on a
-/// hierarchical timer wheel, with the pre-arena engine retained as the
-/// bit-identical [`netsim::SimCore::Legacy`] baseline
-/// (`docs/SIMCORE.md`, experiment E13).
+/// hierarchical timer wheel (`docs/SIMCORE.md`, experiment E13).
 ///
 /// ```
 /// use netdsl::netsim::{EventRef, LinkConfig, Simulator};

@@ -101,16 +101,14 @@ fn arena_recycling_never_changes_campaign_reports() {
 }
 
 #[test]
-fn engine_cores_produce_identical_campaign_reports() {
-    // The pooled core (arena + timer wheel) and the legacy core (owned
-    // buffers + binary heap) are behaviourally identical; a whole
-    // campaign — faults, duplication, corruption, jitter included —
-    // must come out bit-for-bit the same on both.
-    use netdsl::netsim::SimCore;
-    use netdsl::scenario::EngineConfig;
-    let with_core = |core: SimCore| {
+fn frame_paths_produce_identical_campaign_reports() {
+    // The interpreted and compiled frame codecs are behaviourally
+    // identical; a whole campaign — faults, duplication, corruption,
+    // jitter included — must come out bit-for-bit the same on both.
+    use netdsl::scenario::{EngineConfig, FramePath};
+    let with_path = |frame_path: FramePath| {
         let engine = EngineConfig {
-            sim_core: core,
+            frame_path,
             ..EngineConfig::default()
         };
         acceptance_campaign(23)
@@ -135,17 +133,17 @@ fn engine_cores_produce_identical_campaign_reports() {
             .fault(Fault::repair(2_000, 3))
     };
     let driver = SuiteDriver::new();
-    let pooled = with_core(SimCore::Pooled).run(&driver, 2);
-    let legacy = with_core(SimCore::Legacy).run(&driver, 2);
+    let interpreted = with_path(FramePath::Interpreted).run(&driver, 2);
+    let compiled = with_path(FramePath::Compiled).run(&driver, 2);
     // The reports differ only in the protocol specs they carry (the
-    // sim_core axis value); results must be identical cell-for-cell.
-    assert_eq!(pooled.runs.len(), legacy.runs.len());
-    for (p, l) in pooled.runs.iter().zip(&legacy.runs) {
-        assert_eq!(p.scenario.name, l.scenario.name);
+    // frame_path axis value); results must be identical cell-for-cell.
+    assert_eq!(interpreted.runs.len(), compiled.runs.len());
+    for (i, c) in interpreted.runs.iter().zip(&compiled.runs) {
+        assert_eq!(i.scenario.name, c.scenario.name);
         assert_eq!(
-            p.outcome, l.outcome,
-            "{} diverged across cores",
-            p.scenario.name
+            i.outcome, c.outcome,
+            "{} diverged across frame paths",
+            i.scenario.name
         );
     }
 }

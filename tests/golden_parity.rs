@@ -2,9 +2,8 @@
 //! `tests/golden/` is the behavioural contract of the whole engine.
 //!
 //! Every fixture is replayed under the **full engine-axis product** —
-//! [`EngineConfig::all`]: `SimCore` (pooled / legacy) × `FramePath`
-//! (interpreted / compiled) × `FsmPath` (typestate / compiled), 8
-//! combinations — and each supported combination must reproduce the
+//! [`EngineConfig::all`]: `FramePath` (interpreted / compiled) ×
+//! `FsmPath` (typestate / compiled), 4 combinations — and each supported combination must reproduce the
 //! committed transcript **byte-for-byte**: same events at the same
 //! ticks, same wire bytes, same verdicts, same endpoint-state digests,
 //! same serialized JSON. Combinations a protocol refuses (a compiled
@@ -29,7 +28,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use netdsl::campaign::{BatchDriver, Campaign, StreamOptions, Sweep};
-use netdsl::netsim::{GoldenTrace, LinkConfig, SimCore};
+use netdsl::netsim::{GoldenTrace, LinkConfig};
 use netdsl::protocols::golden::{corpus, record, with_combo};
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
@@ -76,7 +75,7 @@ fn corpus_spans_every_protocol_and_impairment() {
 fn committed_corpus_replays_byte_identically_under_every_engine_combo() {
     let fixtures = corpus();
     let combos = EngineConfig::all();
-    assert_eq!(combos.len(), 8, "2 cores × 2 frame paths × 2 FSM paths");
+    assert_eq!(combos.len(), 4, "2 frame paths × 2 FSM paths");
     for scenario in &fixtures {
         let path = fixture_path(&scenario.name);
         let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -306,19 +305,14 @@ proptest! {
                 );
             }
         }
-        let expected = if protocol == STOP_AND_WAIT { 8 } else { 4 };
+        let expected = if protocol == STOP_AND_WAIT { 4 } else { 2 };
         prop_assert_eq!(replayed, expected, "supported-combo count");
     }
 }
 
-// Also used as a free sanity anchor: SimCore and FramePath appear in
-// `EngineConfig::all()`; reference them so the import list stays honest.
 #[test]
 fn engine_combo_axes_cover_both_values_of_every_axis() {
     let combos = EngineConfig::all();
-    for core in [SimCore::Pooled, SimCore::Legacy] {
-        assert!(combos.iter().any(|c| c.sim_core == core));
-    }
     for frame in [FramePath::Interpreted, FramePath::Compiled] {
         assert!(combos.iter().any(|c| c.frame_path == frame));
     }

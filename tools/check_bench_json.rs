@@ -35,9 +35,10 @@
 //!
 //! `--min-metric <id>:<metric>:<min>` (repeatable) additionally gates a
 //! performance claim: the named report must carry the named metric and
-//! its sample mean must be ≥ `min`. This is how the simcore speedup
-//! gate (`--min-metric E13:campaign_speedup:1.5`) turns a regression of
-//! the pooled engine against the pre-arena baseline into a red build.
+//! every series of it must have a sample mean ≥ `min`. This is how the
+//! simcore throughput floor (`--min-metric
+//! E13:campaign_throughput:17000`) turns a regression of the committed
+//! campaign throughput into a red build.
 //!
 //! Exit code 0 when everything passes; 1 otherwise, after printing
 //! every problem found.
