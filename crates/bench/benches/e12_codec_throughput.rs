@@ -57,8 +57,8 @@ fn main() {
     let mut encode_speedups_all: Vec<f64> = Vec::new();
 
     for (label, spec) in spec_set() {
-        let codec = lower(&spec).expect("spec set lowers");
-        let corpus = frame_corpus(&spec, frames, PAYLOAD);
+        let codec = lower(spec).expect("spec set lowers");
+        let corpus = frame_corpus(spec, frames, PAYLOAD);
         let total_bytes: usize = corpus.iter().map(Vec::len).sum();
 
         // Equivalence gate before timing anything.
@@ -131,7 +131,7 @@ fn main() {
         // path allocates per frame as `PacketSpec::encode` does.
         let n_values = report::scaled(2_000, 400);
         let packet_values: Vec<_> = (0..n_values)
-            .map(|i| fill_values(&spec, i, PAYLOAD))
+            .map(|i| fill_values(spec, i, PAYLOAD))
             .collect();
         let indexed_values: Vec<_> = packet_values
             .iter()

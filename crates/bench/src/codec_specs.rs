@@ -15,7 +15,7 @@ use netdsl_core::packet::{FieldKind, Len, PacketSpec, PacketValue, Value};
 use netdsl_protocols::{arq, ipv4, udp, window};
 
 /// The spec set, `(label, spec)` in fixed order.
-pub fn spec_set() -> Vec<(&'static str, PacketSpec)> {
+pub fn spec_set() -> Vec<(&'static str, &'static PacketSpec)> {
     vec![
         ("arq", arq::arq_spec()),
         ("window", window::window_spec()),
@@ -81,8 +81,8 @@ mod tests {
     #[test]
     fn every_spec_lowers_and_its_corpus_roundtrips_both_paths() {
         for (label, spec) in spec_set() {
-            let codec = lower(&spec).expect(label);
-            for frame in frame_corpus(&spec, 8, 32) {
+            let codec = lower(spec).expect(label);
+            for frame in frame_corpus(spec, 8, 32) {
                 assert!(spec.decode(&frame).is_ok(), "{label} interpretive");
                 let decoded = codec.decode(&frame).expect(label);
                 assert_eq!(
@@ -98,8 +98,8 @@ mod tests {
     fn corpus_is_deterministic() {
         for (label, spec) in spec_set() {
             assert_eq!(
-                frame_corpus(&spec, 4, 16),
-                frame_corpus(&spec, 4, 16),
+                frame_corpus(spec, 4, 16),
+                frame_corpus(spec, 4, 16),
                 "{label}"
             );
         }

@@ -667,15 +667,14 @@ impl PacketSpec {
         frame: &[u8],
     ) -> Vec<u8> {
         let (own_start, own_end) = layout.byte_range(field_idx).unwrap_or((0, 0));
-        let mut input = Vec::new();
-        for (s, e) in self.covered_ranges(coverage, layout, frame.len()) {
-            for (pos, byte) in frame[s..e].iter().enumerate() {
-                let abs = s + pos;
-                input.push(if abs >= own_start && abs < own_end {
-                    0
-                } else {
-                    *byte
-                });
+        let ranges = self.covered_ranges(coverage, layout, frame.len());
+        let mut input = Vec::with_capacity(ranges.iter().map(|(s, e)| e - s).sum());
+        for (s, e) in ranges {
+            let base = input.len();
+            input.extend_from_slice(&frame[s..e]);
+            let (zero_start, zero_end) = (own_start.max(s), own_end.min(e));
+            if zero_start < zero_end {
+                input[base + zero_start - s..base + zero_end - s].fill(0);
             }
         }
         input
@@ -732,7 +731,7 @@ impl PacketSpec {
         // Pass 2: serialise, computing Length fields on the fly and
         // leaving checksums zeroed.
         let mut writer = BitWriter::with_capacity(frame_len);
-        let mut checksum_jobs: Vec<(usize, ChecksumKind, Coverage)> = Vec::new();
+        let mut checksum_jobs: Vec<(usize, ChecksumKind, &Coverage)> = Vec::new();
         for (i, f) in self.fields.iter().enumerate() {
             match &f.kind {
                 FieldKind::Uint { bits } => {
@@ -770,7 +769,7 @@ impl PacketSpec {
                 }
                 FieldKind::Checksum { kind, coverage } => {
                     writer.write_bits(0, kind.width_bits())?;
-                    checksum_jobs.push((i, *kind, coverage.clone()));
+                    checksum_jobs.push((i, *kind, coverage));
                 }
                 FieldKind::Bytes { len } => {
                     let b = values.bytes(&f.name)?;
@@ -803,7 +802,7 @@ impl PacketSpec {
         // Pass 3: compute and patch checksums (byte-aligned by
         // construction — enforced in `build`).
         for (i, kind, coverage) in checksum_jobs {
-            let input = self.checksum_input(i, &coverage, &layout, &frame);
+            let input = self.checksum_input(i, coverage, &layout, &frame);
             let value = kind.compute(&input);
             let (s, _) = layout.byte_range(i).expect("checksum field in layout");
             let nbytes = kind.width_bits() / 8;

@@ -27,12 +27,14 @@ pub mod compiled;
 pub mod session;
 pub mod typestate;
 
-use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
+use std::sync::OnceLock;
+
+use netdsl_core::packet::{Coverage, Len, PacketSpec};
 use netdsl_core::DslError;
 use netdsl_netsim::scenario::FramePath;
 use netdsl_wire::checksum::ChecksumKind;
 
-use crate::codec::arq_codec;
+use crate::codec::{self, arq_codec};
 use crate::driver::Io;
 
 /// Frame kind discriminator: a data packet.
@@ -40,7 +42,7 @@ pub const KIND_DATA: u64 = 1;
 /// Frame kind discriminator: an acknowledgement.
 pub const KIND_ACK: u64 = 2;
 
-/// Builds the ARQ packet spec:
+/// The ARQ packet spec, built and validated once for the process:
 ///
 /// ```text
 /// kind:8  seq:8  chk:8  payload:*        chk = check(kind‖seq‖payload)
@@ -48,18 +50,23 @@ pub const KIND_ACK: u64 = 2;
 ///
 /// (The paper's `Pkt seq chk data` plus a kind octet so data and acks
 /// share one format; `check` is [`netdsl_wire::checksum::arq_check`].)
-pub fn arq_spec() -> PacketSpec {
-    PacketSpec::builder("arq")
-        .enumerated("kind", 8, &[KIND_DATA, KIND_ACK])
-        .uint("seq", 8)
-        .checksum(
-            "chk",
-            ChecksumKind::Arq,
-            Coverage::Fields(vec!["kind".into(), "seq".into(), "payload".into()]),
-        )
-        .bytes("payload", Len::Rest)
-        .build()
-        .expect("arq spec is well-formed")
+/// Both frame paths hang off this one value: the walker runs it and
+/// [`crate::codec::arq_codec`] is lowered from it.
+pub fn arq_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("arq")
+            .enumerated("kind", 8, &[KIND_DATA, KIND_ACK])
+            .uint("seq", 8)
+            .checksum(
+                "chk",
+                ChecksumKind::Arq,
+                Coverage::Fields(vec!["kind".into(), "seq".into(), "payload".into()]),
+            )
+            .bytes("payload", Len::Rest)
+            .build()
+            .expect("arq spec is well-formed")
+    })
 }
 
 /// A decoded, **validated** ARQ frame.
@@ -94,32 +101,14 @@ impl ArqFrame {
     /// paths produce byte-identical frames; the compiled one runs the
     /// cached `netdsl-codec` program instead of re-walking the spec.
     pub fn encode_via(&self, path: FramePath) -> Vec<u8> {
-        match path {
-            FramePath::Interpreted => {
-                let spec = arq_spec();
-                let mut v = spec.value();
-                match self {
-                    ArqFrame::Data { seq, payload } => {
-                        v.set("kind", Value::Uint(KIND_DATA));
-                        v.set("seq", Value::Uint(u64::from(*seq)));
-                        v.set("payload", Value::Bytes(payload.clone()));
-                    }
-                    ArqFrame::Ack { seq } => {
-                        v.set("kind", Value::Uint(KIND_ACK));
-                        v.set("seq", Value::Uint(u64::from(*seq)));
-                        v.set("payload", Value::Bytes(Vec::new()));
-                    }
-                }
-                spec.encode(&v).expect("well-typed frame always encodes")
+        let mut out = Vec::new();
+        match self {
+            ArqFrame::Data { seq, payload } => {
+                ArqFrame::encode_data_into(path, *seq, payload, &mut out)
             }
-            FramePath::Compiled => {
-                let (kind, seq, payload): (u64, u64, &[u8]) = match self {
-                    ArqFrame::Data { seq, payload } => (KIND_DATA, u64::from(*seq), payload),
-                    ArqFrame::Ack { seq } => (KIND_ACK, u64::from(*seq), &[]),
-                };
-                crate::codec::compiled_encode(arq_codec(), kind, seq, payload)
-            }
+            ArqFrame::Ack { seq } => ArqFrame::encode_ack_into(path, *seq, &mut out),
         }
+        out
     }
 
     /// Encodes a data frame for a **borrowed** payload into `out`
@@ -127,36 +116,25 @@ impl ArqFrame {
     /// [`crate::window::WindowFrame::encode_data_into`] for the
     /// windowed twin.
     pub fn encode_data_into(path: FramePath, seq: u8, payload: &[u8], out: &mut Vec<u8>) {
-        match path {
-            FramePath::Interpreted => {
-                let frame = ArqFrame::Data {
-                    seq,
-                    payload: payload.to_vec(),
-                }
-                .encode_via(path);
-                out.clear();
-                out.extend_from_slice(&frame);
-            }
-            FramePath::Compiled => crate::codec::compiled_encode_into(
-                arq_codec(),
-                KIND_DATA,
-                u64::from(seq),
-                payload,
-                out,
-            ),
-        }
+        ArqFrame::encode_into(path, KIND_DATA, seq, payload, out);
     }
 
     /// Encodes an ack frame into `out` (cleared first).
     pub fn encode_ack_into(path: FramePath, seq: u8, out: &mut Vec<u8>) {
+        ArqFrame::encode_into(path, KIND_ACK, seq, &[], out);
+    }
+
+    /// The one encode body behind [`ArqFrame::encode_via`] and the
+    /// `*_into` encoders: both paths read the borrowed payload, and the
+    /// interpreted one walks the process-wide [`arq_spec`].
+    fn encode_into(path: FramePath, kind: u64, seq: u8, payload: &[u8], out: &mut Vec<u8>) {
+        let seq = u64::from(seq);
         match path {
             FramePath::Interpreted => {
-                let frame = ArqFrame::Ack { seq }.encode_via(path);
-                out.clear();
-                out.extend_from_slice(&frame);
+                codec::interpreted_encode_into(arq_spec(), kind, seq, payload, out)
             }
             FramePath::Compiled => {
-                crate::codec::compiled_encode_into(arq_codec(), KIND_ACK, u64::from(seq), &[], out)
+                codec::compiled_encode_into(arq_codec(), kind, seq, payload, out)
             }
         }
     }
@@ -183,37 +161,32 @@ impl ArqFrame {
     ///
     /// As for [`ArqFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<ArqFrame, DslError> {
+        let to_frame = |kind: u64, seq: u64, payload: &[u8]| {
+            let seq = seq as u8;
+            match kind {
+                KIND_DATA => Ok(ArqFrame::Data {
+                    seq,
+                    payload: payload.to_vec(),
+                }),
+                KIND_ACK => Ok(ArqFrame::Ack { seq }),
+                other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
+                    field: "kind",
+                    value: other,
+                })),
+            }
+        };
         match path {
             FramePath::Interpreted => {
-                let spec = arq_spec();
-                let checked = spec.decode(frame)?;
-                let seq = checked.uint("seq")? as u8;
-                match checked.uint("kind")? {
-                    KIND_DATA => Ok(ArqFrame::Data {
-                        seq,
-                        payload: checked.bytes("payload")?.to_vec(),
-                    }),
-                    KIND_ACK => Ok(ArqFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
+                let checked = arq_spec().decode(frame)?;
+                to_frame(
+                    checked.uint("kind")?,
+                    checked.uint("seq")?,
+                    checked.bytes("payload")?,
+                )
             }
             FramePath::Compiled => {
-                let (kind, seq, payload) = crate::codec::compiled_decode(arq_codec(), frame)?;
-                let seq = seq as u8;
-                match kind {
-                    KIND_DATA => Ok(ArqFrame::Data {
-                        seq,
-                        payload: payload.to_vec(),
-                    }),
-                    KIND_ACK => Ok(ArqFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
+                let (kind, seq, payload) = codec::compiled_decode(arq_codec(), frame)?;
+                to_frame(kind, seq, payload)
             }
         }
     }
@@ -233,6 +206,7 @@ pub(crate) fn send_ack(io: &mut Io<'_>, path: FramePath, seq: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdsl_core::packet::Value;
 
     #[test]
     fn data_frame_roundtrip() {

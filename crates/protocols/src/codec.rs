@@ -1,9 +1,11 @@
 //! Compiled frame codecs for the protocol suite.
 //!
 //! Each wire format of this crate ([`arq_spec`](crate::arq::arq_spec),
-//! [`window_spec`](crate::window::window_spec)) is lowered **once** by
+//! [`window_spec`](crate::window::window_spec)) is built once as a
+//! process-wide [`PacketSpec`], the executable spec the interpretive
+//! walker runs. It is lowered **once** from that value by
 //! `netdsl-codec` into a [`SuiteCodec`] — the compiled program plus the
-//! pre-resolved field indices the endpoints read — and cached for the
+//! pre-resolved field indices the endpoints read — also cached for the
 //! process. Endpoints select between the interpretive and compiled
 //! paths per scenario through
 //! [`FramePath`](netdsl_netsim::scenario::FramePath) (see
@@ -21,7 +23,7 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use netdsl_codec::{lower, CompiledCodec, FieldIx, FieldView};
-use netdsl_core::packet::PacketSpec;
+use netdsl_core::packet::{PacketSpec, Value};
 
 /// A compiled suite wire format: the program plus the field indices the
 /// endpoints touch (`kind`, `seq`, `payload`), resolved once.
@@ -62,14 +64,14 @@ impl SuiteCodec {
 /// lowered on first use and shared for the process lifetime.
 pub fn arq_codec() -> &'static SuiteCodec {
     static CODEC: OnceLock<SuiteCodec> = OnceLock::new();
-    CODEC.get_or_init(|| SuiteCodec::new(&crate::arq::arq_spec()))
+    CODEC.get_or_init(|| SuiteCodec::new(crate::arq::arq_spec()))
 }
 
 /// The compiled sliding-window codec
 /// (`kind:8 seq:32 chk:16 payload:*`), lowered on first use.
 pub fn window_codec() -> &'static SuiteCodec {
     static CODEC: OnceLock<SuiteCodec> = OnceLock::new();
-    CODEC.get_or_init(|| SuiteCodec::new(&crate::window::window_spec()))
+    CODEC.get_or_init(|| SuiteCodec::new(crate::window::window_spec()))
 }
 
 thread_local! {
@@ -83,14 +85,26 @@ pub(crate) fn with_scratch_view<R>(f: impl FnOnce(&mut FieldView) -> R) -> R {
     SCRATCH.with(|view| f(&mut view.borrow_mut()))
 }
 
-/// Compiled encode of one suite frame (`kind`, `seq`, `payload`) —
-/// the shared body behind `ArqFrame::encode_via` and
-/// `WindowFrame::encode_via`, so the compiled-path protocol (indexed
-/// values, program execution) lives in exactly one place.
-pub(crate) fn compiled_encode(suite: &SuiteCodec, kind: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    compiled_encode_into(suite, kind, seq, payload, &mut out);
-    out
+/// Interpretive encode of one suite frame (`kind`, `seq`, `payload`)
+/// into a caller-reused buffer (cleared first), by walking `spec` —
+/// the interpreted twin of [`compiled_encode_into`] and the one body
+/// behind every interpreted `ArqFrame`/`WindowFrame` encode. The walker
+/// returns an owned frame, which is copied into `out` so a pooled
+/// buffer keeps its capacity.
+pub(crate) fn interpreted_encode_into(
+    spec: &PacketSpec,
+    kind: u64,
+    seq: u64,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) {
+    let mut v = spec.value();
+    v.set("kind", Value::Uint(kind));
+    v.set("seq", Value::Uint(seq));
+    v.set("payload", Value::Bytes(payload.to_vec()));
+    let frame = spec.encode(&v).expect("well-typed frame always encodes");
+    out.clear();
+    out.extend_from_slice(&frame);
 }
 
 /// Compiled encode of one suite frame into a caller-reused buffer
@@ -141,7 +155,14 @@ pub(crate) fn compiled_decode<'f>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netdsl_core::packet::Value;
+    use crate::arq::ArqFrame;
+    use crate::window::WindowFrame;
+    use netdsl_core::DslError;
+    use netdsl_netsim::scenario::FramePath;
+    use proptest::prelude::*;
+    use std::fmt::Debug;
+
+    const PATHS: [FramePath; 2] = [FramePath::Interpreted, FramePath::Compiled];
 
     #[test]
     fn cached_codecs_resolve_their_fields() {
@@ -167,6 +188,110 @@ mod tests {
             let interpretive = spec.encode(&v).unwrap();
             let compiled = suite.codec().encode_packet_value(&v).unwrap();
             assert_eq!(interpretive, compiled, "{}", spec.name());
+        }
+    }
+
+    /// Whether both frame paths give `frame` the same verdict: both
+    /// reject it, or both accept it as the same frame.
+    fn paths_agree<F: PartialEq>(
+        decode: fn(FramePath, &[u8]) -> Result<F, DslError>,
+        frame: &[u8],
+    ) -> bool {
+        decode(FramePath::Interpreted, frame).ok() == decode(FramePath::Compiled, frame).ok()
+    }
+
+    /// Checks one format on `frames`: each `*_into` encoder (through
+    /// `encode_into`), starting from a buffer holding `stale`, writes on
+    /// both paths exactly the bytes a fresh compiled `encode_via` does;
+    /// the frame decodes back to itself; and the paths agree on every
+    /// single-bit flip and every truncation of it.
+    fn check_format<F: PartialEq + Debug>(
+        frames: &[F],
+        stale: &[u8],
+        encode_via: fn(&F, FramePath) -> Vec<u8>,
+        encode_into: fn(&F, FramePath, &mut Vec<u8>),
+        decode: fn(FramePath, &[u8]) -> Result<F, DslError>,
+    ) -> Result<(), TestCaseError> {
+        for frame in frames {
+            let wire = encode_via(frame, FramePath::Compiled);
+            for path in PATHS {
+                let mut out = stale.to_vec();
+                encode_into(frame, path, &mut out);
+                prop_assert_eq!(&out, &wire, "{:?} *_into of {:?}", path, frame);
+                prop_assert_eq!(
+                    &encode_via(frame, path),
+                    &wire,
+                    "{:?} encode_via of {:?}",
+                    path,
+                    frame
+                );
+            }
+            let decoded = decode(FramePath::Interpreted, &wire).ok();
+            prop_assert_eq!(decoded.as_ref(), Some(frame));
+            let mut flipped = wire.clone();
+            for bit in 0..wire.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(
+                    paths_agree(decode, &flipped),
+                    "paths disagree with bit {} of {:?} flipped",
+                    bit,
+                    frame
+                );
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            for len in 0..wire.len() {
+                prop_assert!(
+                    paths_agree(decode, &wire[..len]),
+                    "paths disagree on {:?} truncated to {} bytes",
+                    frame,
+                    len
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn interpreted_suite_encoders_match_compiled_and_decode_verdicts_agree(
+            arq_seq in prop_oneof![Just(0u8), Just(u8::MAX), any::<u8>()],
+            window_seq in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+            payload in prop_oneof![
+                Just(Vec::new()),
+                proptest::collection::vec(any::<u8>(), 0..=1500),
+            ],
+            stale in proptest::collection::vec(any::<u8>(), 0..16),
+        ) {
+            check_format(
+                &[
+                    ArqFrame::Data { seq: arq_seq, payload: payload.clone() },
+                    ArqFrame::Ack { seq: arq_seq },
+                ],
+                &stale,
+                ArqFrame::encode_via,
+                |frame, path, out| match frame {
+                    ArqFrame::Data { seq, payload } => {
+                        ArqFrame::encode_data_into(path, *seq, payload, out)
+                    }
+                    ArqFrame::Ack { seq } => ArqFrame::encode_ack_into(path, *seq, out),
+                },
+                ArqFrame::decode_via,
+            )?;
+            check_format(
+                &[
+                    WindowFrame::Data { seq: window_seq, payload },
+                    WindowFrame::Ack { seq: window_seq },
+                ],
+                &stale,
+                WindowFrame::encode_via,
+                |frame, path, out| match frame {
+                    WindowFrame::Data { seq, payload } => {
+                        WindowFrame::encode_data_into(path, *seq, payload, out)
+                    }
+                    WindowFrame::Ack { seq } => WindowFrame::encode_ack_into(path, *seq, out),
+                },
+                WindowFrame::decode_via,
+            )?;
         }
     }
 }

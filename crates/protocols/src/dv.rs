@@ -17,6 +17,7 @@
 //! workspace, a corrupt advertisement never reaches routing logic.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
@@ -26,17 +27,20 @@ use netdsl_wire::checksum::ChecksumKind;
 /// Metric value meaning "unreachable" (RIP uses 16).
 pub const INFINITY_METRIC: u8 = 16;
 
-/// Builds the advertisement spec:
+/// The advertisement spec, built and validated once for the process:
 /// `origin:16 count:8 chk:16(CRC-16 whole) entries:Rest`,
 /// where `entries` is `count` × (`dest:16 metric:8`).
-pub fn advert_spec() -> PacketSpec {
-    PacketSpec::builder("dv-advert")
-        .uint("origin", 16)
-        .uint("count", 8)
-        .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
-        .bytes("entries", Len::Rest)
-        .build()
-        .expect("advert spec is well-formed")
+pub fn advert_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("dv-advert")
+            .uint("origin", 16)
+            .uint("count", 8)
+            .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
+            .bytes("entries", Len::Rest)
+            .build()
+            .expect("advert spec is well-formed")
+    })
 }
 
 /// One advertised route.

@@ -7,6 +7,8 @@
 //! experiment E5), which is precisely the model-equals-implementation
 //! property §3.3 argues for.
 
+use std::sync::OnceLock;
+
 use netdsl_core::fsm::Spec;
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
@@ -61,17 +63,21 @@ pub const FLAG_ACK: u64 = 0b010;
 /// FIN flag bit.
 pub const FLAG_FIN: u64 = 0b001;
 
-/// Builds the control-segment spec: 3 flag bits, 13 reserved, a 32-bit
-/// sequence number, CRC-16 over the whole segment.
-pub fn segment_spec() -> PacketSpec {
-    PacketSpec::builder("hs-segment")
-        .uint("flags", 3)
-        .constant("reserved", 13, 0)
-        .uint("seq", 32)
-        .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
-        .bytes("payload", Len::Rest)
-        .build()
-        .expect("segment spec is well-formed")
+/// The control-segment spec (3 flag bits, 13 reserved, a 32-bit
+/// sequence number, CRC-16 over the whole segment), built and validated
+/// once for the process.
+pub fn segment_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("hs-segment")
+            .uint("flags", 3)
+            .constant("reserved", 13, 0)
+            .uint("seq", 32)
+            .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
+            .bytes("payload", Len::Rest)
+            .build()
+            .expect("segment spec is well-formed")
+    })
 }
 
 /// Encodes a control segment.

@@ -12,6 +12,8 @@
 //! A hand-written codec ([`encode_manual`] / [`decode_manual`]) with the
 //! identical wire behaviour is included as the experiment E1 baseline.
 
+use std::sync::OnceLock;
+
 use netdsl_core::packet::{Coverage, Len, PacketSpec, PacketValue, Value};
 use netdsl_core::witness::Checked;
 use netdsl_core::DslError;
@@ -35,30 +37,34 @@ pub const HEADER_FIELDS: [&str; 13] = [
     "payload",
 ];
 
-/// Builds the RFC 791 header spec (without options, so IHL is the
-/// constant-by-computation value 5).
-pub fn ipv4_spec() -> PacketSpec {
-    let header: Vec<String> = HEADER_FIELDS[..12].iter().map(|s| s.to_string()).collect();
-    PacketSpec::builder("ipv4")
-        .constant("version", 4, 4)
-        .length_scaled("ihl", 4, Coverage::Fields(header.clone()), 4, 0)
-        .uint("tos", 8)
-        .length("total_length", 16, Coverage::Whole)
-        .uint("identification", 16)
-        .uint("flags", 3)
-        .uint("fragment_offset", 13)
-        .uint("ttl", 8)
-        .uint("protocol", 8)
-        .checksum(
-            "header_checksum",
-            ChecksumKind::Internet,
-            Coverage::Fields(header),
-        )
-        .uint("source", 32)
-        .uint("destination", 32)
-        .bytes("payload", Len::Rest)
-        .build()
-        .expect("ipv4 spec is well-formed")
+/// The RFC 791 header spec (without options, so IHL is the
+/// constant-by-computation value 5), built and validated once for the
+/// process.
+pub fn ipv4_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        let header: Vec<String> = HEADER_FIELDS[..12].iter().map(|s| s.to_string()).collect();
+        PacketSpec::builder("ipv4")
+            .constant("version", 4, 4)
+            .length_scaled("ihl", 4, Coverage::Fields(header.clone()), 4, 0)
+            .uint("tos", 8)
+            .length("total_length", 16, Coverage::Whole)
+            .uint("identification", 16)
+            .uint("flags", 3)
+            .uint("fragment_offset", 13)
+            .uint("ttl", 8)
+            .uint("protocol", 8)
+            .checksum(
+                "header_checksum",
+                ChecksumKind::Internet,
+                Coverage::Fields(header),
+            )
+            .uint("source", 32)
+            .uint("destination", 32)
+            .bytes("payload", Len::Rest)
+            .build()
+            .expect("ipv4 spec is well-formed")
+    })
 }
 
 /// A typed IPv4 datagram (header fields + payload).

@@ -7,6 +7,8 @@
 //! structure, with a CRC added (real TFTP leans on UDP's checksum, which
 //! our frames don't have underneath them).
 
+use std::sync::OnceLock;
+
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
 use netdsl_netsim::{LinkConfig, TimerToken};
@@ -22,15 +24,19 @@ pub const OP_ACK: u64 = 4;
 /// Maximum payload per block (RFC 1350's 512).
 pub const BLOCK_SIZE: usize = 512;
 
-/// Builds the TFTP frame spec: `opcode:16 block:16 chk:16 data:*`.
-pub fn tftp_spec() -> PacketSpec {
-    PacketSpec::builder("tftp")
-        .enumerated("opcode", 16, &[OP_DATA, OP_ACK])
-        .uint("block", 16)
-        .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
-        .bytes("data", Len::Rest)
-        .build()
-        .expect("tftp spec is well-formed")
+/// The TFTP frame spec, `opcode:16 block:16 chk:16 data:*`, built and
+/// validated once for the process.
+pub fn tftp_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("tftp")
+            .enumerated("opcode", 16, &[OP_DATA, OP_ACK])
+            .uint("block", 16)
+            .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
+            .bytes("data", Len::Rest)
+            .build()
+            .expect("tftp spec is well-formed")
+    })
 }
 
 /// A decoded, validated TFTP frame.

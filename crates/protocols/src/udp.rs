@@ -9,27 +9,32 @@
 //! pseudo-header involves the enclosing IP layer; composing the two specs
 //! is done in [`checksum_with_pseudo_header`] for completeness).
 
+use std::sync::OnceLock;
+
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
 use netdsl_wire::checksum::{internet_checksum, ChecksumKind};
 
-/// Builds the UDP datagram spec.
-pub fn udp_spec() -> PacketSpec {
-    PacketSpec::builder("udp")
-        .uint("source_port", 16)
-        .uint("dest_port", 16)
-        .length("length", 16, Coverage::Whole)
-        .checksum("checksum", ChecksumKind::Internet, Coverage::Whole)
-        .bytes(
-            "payload",
-            Len::Prefixed {
-                field: "length".into(),
-                unit: 1,
-                bias: -8,
-            },
-        )
-        .build()
-        .expect("udp spec is well-formed")
+/// The UDP datagram spec, built and validated once for the process.
+pub fn udp_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("udp")
+            .uint("source_port", 16)
+            .uint("dest_port", 16)
+            .length("length", 16, Coverage::Whole)
+            .checksum("checksum", ChecksumKind::Internet, Coverage::Whole)
+            .bytes(
+                "payload",
+                Len::Prefixed {
+                    field: "length".into(),
+                    unit: 1,
+                    bias: -8,
+                },
+            )
+            .build()
+            .expect("udp spec is well-formed")
+    })
 }
 
 /// A typed UDP datagram.

@@ -5,12 +5,14 @@
 //! payload. As with ARQ, the checksum is part of the declarative
 //! definition, so no unverified frame reaches window logic.
 
-use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
+use std::sync::OnceLock;
+
+use netdsl_core::packet::{Coverage, Len, PacketSpec};
 use netdsl_core::DslError;
 use netdsl_netsim::scenario::FramePath;
 use netdsl_wire::checksum::ChecksumKind;
 
-use crate::codec::window_codec;
+use crate::codec::{self, window_codec};
 use crate::driver::Io;
 
 /// Frame kind: payload-carrying.
@@ -18,19 +20,26 @@ pub const KIND_DATA: u64 = 1;
 /// Frame kind: acknowledgement.
 pub const KIND_ACK: u64 = 2;
 
-/// Builds the window-protocol frame spec:
+/// The window-protocol frame spec, built and validated once for the
+/// process:
 ///
 /// ```text
 /// kind:8  seq:32  chk:16(CRC-16 whole-frame)  payload:*
 /// ```
-pub fn window_spec() -> PacketSpec {
-    PacketSpec::builder("window")
-        .enumerated("kind", 8, &[KIND_DATA, KIND_ACK])
-        .uint("seq", 32)
-        .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
-        .bytes("payload", Len::Rest)
-        .build()
-        .expect("window spec is well-formed")
+///
+/// Both frame paths hang off this one value: the walker runs it and
+/// [`crate::codec::window_codec`] is lowered from it.
+pub fn window_spec() -> &'static PacketSpec {
+    static SPEC: OnceLock<PacketSpec> = OnceLock::new();
+    SPEC.get_or_init(|| {
+        PacketSpec::builder("window")
+            .enumerated("kind", 8, &[KIND_DATA, KIND_ACK])
+            .uint("seq", 32)
+            .checksum("chk", ChecksumKind::Crc16Ccitt, Coverage::Whole)
+            .bytes("payload", Len::Rest)
+            .build()
+            .expect("window spec is well-formed")
+    })
 }
 
 /// A decoded, validated window-protocol frame.
@@ -61,32 +70,14 @@ impl WindowFrame {
     /// Encodes to wire bytes through the selected frame path (the two
     /// paths are byte-identical).
     pub fn encode_via(&self, path: FramePath) -> Vec<u8> {
-        match path {
-            FramePath::Interpreted => {
-                let spec = window_spec();
-                let mut v = spec.value();
-                match self {
-                    WindowFrame::Data { seq, payload } => {
-                        v.set("kind", Value::Uint(KIND_DATA));
-                        v.set("seq", Value::Uint(u64::from(*seq)));
-                        v.set("payload", Value::Bytes(payload.clone()));
-                    }
-                    WindowFrame::Ack { seq } => {
-                        v.set("kind", Value::Uint(KIND_ACK));
-                        v.set("seq", Value::Uint(u64::from(*seq)));
-                        v.set("payload", Value::Bytes(Vec::new()));
-                    }
-                }
-                spec.encode(&v).expect("well-typed frame always encodes")
+        let mut out = Vec::new();
+        match self {
+            WindowFrame::Data { seq, payload } => {
+                WindowFrame::encode_data_into(path, *seq, payload, &mut out)
             }
-            FramePath::Compiled => {
-                let (kind, seq, payload): (u64, u64, &[u8]) = match self {
-                    WindowFrame::Data { seq, payload } => (KIND_DATA, u64::from(*seq), payload),
-                    WindowFrame::Ack { seq } => (KIND_ACK, u64::from(*seq), &[]),
-                };
-                crate::codec::compiled_encode(window_codec(), kind, seq, payload)
-            }
+            WindowFrame::Ack { seq } => WindowFrame::encode_ack_into(path, *seq, &mut out),
         }
+        out
     }
 
     /// Encodes a data frame for a **borrowed** payload into `out`
@@ -94,45 +85,27 @@ impl WindowFrame {
     /// and on the compiled path the frame is written straight into the
     /// caller's (arena) buffer.
     pub fn encode_data_into(path: FramePath, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
-        match path {
-            FramePath::Interpreted => {
-                // The interpretive encoder builds an owned tree; reuse
-                // it and copy out (the interpreted path is the slow
-                // reference by design).
-                let frame = WindowFrame::Data {
-                    seq,
-                    payload: payload.to_vec(),
-                }
-                .encode_via(path);
-                out.clear();
-                out.extend_from_slice(&frame);
-            }
-            FramePath::Compiled => crate::codec::compiled_encode_into(
-                window_codec(),
-                KIND_DATA,
-                u64::from(seq),
-                payload,
-                out,
-            ),
-        }
+        WindowFrame::encode_into(path, KIND_DATA, seq, payload, out);
     }
 
     /// Encodes an ack frame into `out` (cleared first); see
     /// [`WindowFrame::encode_data_into`].
     pub fn encode_ack_into(path: FramePath, seq: u32, out: &mut Vec<u8>) {
+        WindowFrame::encode_into(path, KIND_ACK, seq, &[], out);
+    }
+
+    /// The one encode body behind [`WindowFrame::encode_via`] and the
+    /// `*_into` encoders: both paths read the borrowed payload, and the
+    /// interpreted one walks the process-wide [`window_spec`].
+    fn encode_into(path: FramePath, kind: u64, seq: u32, payload: &[u8], out: &mut Vec<u8>) {
+        let seq = u64::from(seq);
         match path {
             FramePath::Interpreted => {
-                let frame = WindowFrame::Ack { seq }.encode_via(path);
-                out.clear();
-                out.extend_from_slice(&frame);
+                codec::interpreted_encode_into(window_spec(), kind, seq, payload, out)
             }
-            FramePath::Compiled => crate::codec::compiled_encode_into(
-                window_codec(),
-                KIND_ACK,
-                u64::from(seq),
-                &[],
-                out,
-            ),
+            FramePath::Compiled => {
+                codec::compiled_encode_into(window_codec(), kind, seq, payload, out)
+            }
         }
     }
 
@@ -153,37 +126,32 @@ impl WindowFrame {
     ///
     /// As for [`WindowFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<WindowFrame, DslError> {
+        let to_frame = |kind: u64, seq: u64, payload: &[u8]| {
+            let seq = seq as u32;
+            match kind {
+                KIND_DATA => Ok(WindowFrame::Data {
+                    seq,
+                    payload: payload.to_vec(),
+                }),
+                KIND_ACK => Ok(WindowFrame::Ack { seq }),
+                other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
+                    field: "kind",
+                    value: other,
+                })),
+            }
+        };
         match path {
             FramePath::Interpreted => {
-                let spec = window_spec();
-                let checked = spec.decode(frame)?;
-                let seq = checked.uint("seq")? as u32;
-                match checked.uint("kind")? {
-                    KIND_DATA => Ok(WindowFrame::Data {
-                        seq,
-                        payload: checked.bytes("payload")?.to_vec(),
-                    }),
-                    KIND_ACK => Ok(WindowFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
+                let checked = window_spec().decode(frame)?;
+                to_frame(
+                    checked.uint("kind")?,
+                    checked.uint("seq")?,
+                    checked.bytes("payload")?,
+                )
             }
             FramePath::Compiled => {
-                let (kind, seq, payload) = crate::codec::compiled_decode(window_codec(), frame)?;
-                let seq = seq as u32;
-                match kind {
-                    KIND_DATA => Ok(WindowFrame::Data {
-                        seq,
-                        payload: payload.to_vec(),
-                    }),
-                    KIND_ACK => Ok(WindowFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
+                let (kind, seq, payload) = codec::compiled_decode(window_codec(), frame)?;
+                to_frame(kind, seq, payload)
             }
         }
     }
