@@ -55,8 +55,8 @@ pub mod link;
 pub mod scenario;
 pub mod sim;
 pub mod stats;
+pub mod tap;
 pub mod topology;
-pub mod trace;
 mod wheel;
 
 pub use arena::{ArenaStats, PayloadArena, PayloadRef};
@@ -80,7 +80,6 @@ pub use scenario::{
 pub use sim::{Event, EventRef, LinkId, NodeId, SessionId, Simulator, TimerToken};
 pub use stats::{Aggregate, LinkStats};
 pub use topology::Topology;
-pub use trace::{Trace, TraceEntry};
 
 /// Virtual time, in abstract ticks.
 pub type Tick = u64;

@@ -27,18 +27,16 @@
 
 use std::cell::RefCell;
 
-use netdsl_obs::{
-    Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig,
-};
+use netdsl_obs::{FlightEvent, FlightKind, FlightRecorder, FlightRecording, ObsConfig};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::arena::{PayloadArena, PayloadRef};
-use crate::golden::{GoldenEvent, GoldenEventKind, Verdict};
+use crate::golden::{GoldenEvent, Verdict};
 use crate::link::LinkConfig;
 use crate::stats::LinkStats;
-use crate::trace::{Trace, TraceEntry};
+use crate::tap::{self, Recorders};
 use crate::wheel::TimerWheel;
 use crate::Tick;
 
@@ -189,29 +187,6 @@ thread_local! {
 /// recycles all of them.
 const CORE_POOL_CAP: usize = 8;
 
-/// Engine metrics (`netdsl-obs`). The statics are inert until
-/// [`netdsl_obs::set_metrics_enabled`] turns the registry on — each
-/// update is then one thread-sharded relaxed add, so the hot path stays
-/// allocation-free (pinned by `tests/alloc_zero.rs`).
-static FRAMES_SENT: Counter = Counter::new("sim.frames_sent");
-static FRAMES_DELIVERED: Counter = Counter::new("sim.frames_delivered");
-static FRAMES_DROPPED: Counter = Counter::new("sim.frames_dropped");
-static FRAMES_CORRUPTED: Counter = Counter::new("sim.frames_corrupted");
-static TIMERS_SET: Counter = Counter::new("sim.timers_set");
-static TIMERS_FIRED: Counter = Counter::new("sim.timers_fired");
-static TIMERS_CANCELLED: Counter = Counter::new("sim.timers_cancelled");
-static FRAME_BYTES: Histogram = Histogram::new("sim.frame_bytes");
-static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
-
-/// Golden-trace capture state, boxed behind an `Option` so the hot path
-/// pays one predictable branch when recording is off (the default).
-#[derive(Debug, Default)]
-struct GoldenLog {
-    events: Vec<GoldenEvent>,
-    /// Index of the most recent `Delivered` event, pending annotation.
-    last_delivery: Option<usize>,
-}
-
 /// A deterministic discrete-event network simulator.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -233,16 +208,15 @@ pub struct Simulator {
     node_sessions: Vec<SessionId>,
     session_links: Vec<Vec<LinkId>>,
     links: Vec<Link>,
-    trace: Trace,
     /// Pending lazy timer cancellations, indexed by node so lookup cost
     /// scales with one node's in-flight cancels (a handful) rather than
     /// with every co-hosted session's — the difference between O(1) and
     /// O(sessions) per timer pop in a multiplexed batch.
     node_cancels: Vec<Vec<TimerToken>>,
-    golden: Option<Box<GoldenLog>>,
-    /// Flight recorder, boxed behind an `Option` like golden capture:
-    /// the hot path pays one branch when no recorder is installed.
-    flight: Option<Box<FlightRecorder>>,
+    /// The flight and golden sinks of the event tap (see [`crate::tap`]),
+    /// `None` while neither is installed so the hot path pays one
+    /// branch.
+    recorders: Option<Box<Recorders>>,
     /// Fast-path flag for node-level fault state: `false` until the
     /// first crash or clock skew, so un-faulted runs pay exactly one
     /// predictable branch per pop and per timer arm (the bit-identical
@@ -279,10 +253,8 @@ impl Simulator {
             node_sessions: Vec::new(),
             session_links: vec![Vec::new()],
             links: Vec::new(),
-            trace: Trace::new(),
             node_cancels: Vec::new(),
-            golden: None,
-            flight: None,
+            recorders: None,
             faulted: false,
             node_down: Vec::new(),
             crash_floor: Vec::new(),
@@ -300,35 +272,54 @@ impl Simulator {
         if cfg.metrics {
             netdsl_obs::set_metrics_enabled(true);
         }
-        self.flight = cfg
-            .flight
-            .then(|| Box::new(FlightRecorder::new(cfg.flight_cap())));
+        let flight = cfg.flight.then(|| FlightRecorder::new(cfg.flight_cap()));
+        self.edit_recorders(|r| r.flight = flight);
     }
 
     /// Removes the flight recorder, returning what it captured (or
     /// `None` when none was installed).
     pub fn take_flight(&mut self) -> Option<FlightRecording> {
-        self.flight.take().map(|r| r.into_recording())
+        let mut flight = None;
+        self.edit_recorders(|r| flight = r.flight.take());
+        flight.map(FlightRecorder::into_recording)
     }
 
-    /// Records a protocol-level flight event (`ArqTimeout`,
-    /// `Retransmit`, `CodecReject`, …) stamped with the current virtual
-    /// time and `node` as the subject. A no-op without a recorder —
-    /// endpoints can call this unconditionally.
+    /// Reports a protocol-level event (`ArqTimeout`, `Retransmit`,
+    /// `CodecReject`, …) to the event tap, stamped with the current
+    /// virtual time and `node` as the subject: it bumps the kind's
+    /// counter and reaches the flight recorder when one is installed,
+    /// so endpoints call this unconditionally.
     pub fn flight_protocol_event(&mut self, kind: FlightKind, node: NodeId, detail: u64) {
-        self.flight_record(kind, node.index() as u64, detail);
+        self.tap(kind, node.index() as u64, detail, None);
     }
 
+    /// The event tap: every hook site's one call (see [`crate::tap`]).
+    /// `frame` is the payload for `Send`/`Deliver`, whose wire bytes
+    /// only the golden sink reads.
     #[inline]
-    fn flight_record(&mut self, kind: FlightKind, subject: u64, detail: u64) {
-        if let Some(f) = &mut self.flight {
-            f.record(FlightEvent {
+    fn tap(&mut self, kind: FlightKind, subject: u64, detail: u64, frame: Option<&PayloadRef>) {
+        tap::count(kind, detail);
+        if let Some(recorders) = &mut self.recorders {
+            let event = FlightEvent {
                 at: self.time,
                 kind,
                 subject,
                 detail,
-            });
+            };
+            recorders.record(event, frame.map(|h| self.arena.get(h)));
         }
+    }
+
+    /// Applies `edit` to the recorders, keeping them boxed only while
+    /// at least one is installed (so an unobserved run pays one branch
+    /// per hook site and allocates nothing).
+    fn edit_recorders(&mut self, edit: impl FnOnce(&mut Recorders)) {
+        let mut recorders = self
+            .recorders
+            .take()
+            .map_or_else(Recorders::default, |b| *b);
+        edit(&mut recorders);
+        self.recorders = (!recorders.is_empty()).then(|| Box::new(recorders));
     }
 
     /// Switches golden-trace capture on or off (off by default, so the
@@ -337,7 +328,7 @@ impl Simulator {
     /// can then be annotated with a verdict and endpoint digest via
     /// [`Simulator::annotate_delivery`]. See [`crate::golden`].
     pub fn record_golden(&mut self, on: bool) {
-        self.golden = on.then(Box::default);
+        self.edit_recorders(|r| r.golden = on.then(Default::default));
     }
 
     /// Attaches the validation verdict and endpoint state digest to the
@@ -345,28 +336,19 @@ impl Simulator {
     /// [`Simulator::step_ref`] that returned a frame and the next step;
     /// a no-op when golden capture is off.
     pub fn annotate_delivery(&mut self, verdict: Verdict, digest: u64) {
-        let Some(golden) = &mut self.golden else {
-            return;
-        };
-        let Some(idx) = golden.last_delivery.take() else {
-            return;
-        };
-        let ev = &mut golden.events[idx];
-        debug_assert_eq!(ev.kind, GoldenEventKind::Delivered);
-        ev.verdict = Some(verdict);
-        ev.digest = Some(digest);
+        if let Some(golden) = self.recorders.as_mut().and_then(|r| r.golden.as_mut()) {
+            golden.annotate_delivery(verdict, digest);
+        }
     }
 
     /// Takes the captured golden events, leaving capture enabled with an
     /// empty log.
     pub fn take_golden_events(&mut self) -> Vec<GoldenEvent> {
-        match &mut self.golden {
-            Some(golden) => {
-                golden.last_delivery = None;
-                std::mem::take(&mut golden.events)
-            }
-            None => Vec::new(),
-        }
+        self.recorders
+            .as_mut()
+            .and_then(|r| r.golden.as_mut())
+            .map(|golden| golden.take_events())
+            .unwrap_or_default()
     }
 
     /// Current virtual time.
@@ -527,19 +509,6 @@ impl Simulator {
         self.links[link.0].config = config;
     }
 
-    /// The event trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Replaces the trace with an empty one retaining at most
-    /// `capacity` entries (call during setup; any already-recorded
-    /// history is discarded). See [`crate::trace`] for the ring
-    /// semantics.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
-    }
-
     // ------------------------------------------------------------------
     // Payload arena access
     // ------------------------------------------------------------------
@@ -599,22 +568,6 @@ impl Simulator {
         self.queue.push(at, seq, what);
     }
 
-    /// Appends one golden event (capture must be on) and returns its
-    /// index in the log.
-    fn push_golden(&mut self, kind: GoldenEventKind, link: LinkId, bytes: Vec<u8>) -> usize {
-        let at = self.time;
-        let golden = self.golden.as_mut().expect("golden capture enabled");
-        golden.events.push(GoldenEvent {
-            at,
-            kind,
-            link: link.index(),
-            bytes,
-            verdict: None,
-            digest: None,
-        });
-        golden.events.len() - 1
-    }
-
     /// Transmits `payload` over `link`, applying the link's
     /// impairments. Compatibility wrapper over [`Simulator::send_ref`]:
     /// adopts the buffer into the arena without copying.
@@ -648,30 +601,16 @@ impl Simulator {
         };
         let len = self.arena.get(&payload).len();
         self.links[link.0].stats.sent += 1;
-        self.trace.record(TraceEntry::Sent {
-            at: self.time,
-            link,
-            bytes: len,
-        });
-        FRAMES_SENT.incr();
-        FRAME_BYTES.observe(len as u64);
-        self.flight_record(FlightKind::Send, link.index() as u64, len as u64);
-        if self.golden.is_some() {
-            let wire = self.arena.get(&payload).to_vec();
-            self.push_golden(GoldenEventKind::Sent, link, wire);
-        }
+        self.tap(
+            FlightKind::Send,
+            link.index() as u64,
+            len as u64,
+            Some(&payload),
+        );
 
         if self.rngs[session.0].random_bool(loss) {
             self.links[link.0].stats.lost += 1;
-            self.trace.record(TraceEntry::Lost {
-                at: self.time,
-                link,
-            });
-            FRAMES_DROPPED.incr();
-            self.flight_record(FlightKind::Drop, link.index() as u64, 0);
-            if self.golden.is_some() {
-                self.push_golden(GoldenEventKind::Lost, link, Vec::new());
-            }
+            self.tap(FlightKind::Drop, link.index() as u64, 0, None);
             self.arena.release(payload);
             return false;
         }
@@ -712,15 +651,7 @@ impl Simulator {
             frame = self.arena.make_unique(frame);
             self.arena.get_mut(&frame)[byte] ^= 1 << bit;
             self.links[link.0].stats.corrupted += 1;
-            self.trace.record(TraceEntry::Corrupted {
-                at: self.time,
-                link,
-            });
-            FRAMES_CORRUPTED.incr();
-            self.flight_record(FlightKind::Corrupt, link.index() as u64, 0);
-            if self.golden.is_some() {
-                self.push_golden(GoldenEventKind::Corrupted, link, Vec::new());
-            }
+            self.tap(FlightKind::Corrupt, link.index() as u64, 0, None);
         }
         let extra = if jitter > 0 {
             self.rngs[session.0].random_range(0..=jitter)
@@ -752,8 +683,7 @@ impl Simulator {
             delay
         };
         let at = self.time + delay;
-        TIMERS_SET.incr();
-        self.flight_record(FlightKind::TimerSet, node.index() as u64, token);
+        self.tap(FlightKind::TimerSet, node.index() as u64, token, None);
         self.push(at, Pending::Timer { node, token });
     }
 
@@ -769,8 +699,7 @@ impl Simulator {
         if self.node_cancels.len() <= ix {
             self.node_cancels.resize_with(ix + 1, Vec::new);
         }
-        TIMERS_CANCELLED.incr();
-        self.flight_record(FlightKind::TimerCancel, ix as u64, token);
+        self.tap(FlightKind::TimerCancel, ix as u64, token, None);
         self.node_cancels[ix].push(token);
     }
 
@@ -795,22 +724,16 @@ impl Simulator {
     }
 
     /// Shared delivery bookkeeping of [`Simulator::step_ref`] and
-    /// [`Simulator::drain_tick`]: counters, trace, golden capture.
-    fn note_frame_delivery(&mut self, at: Tick, link: LinkId, payload: &PayloadRef) {
+    /// [`Simulator::drain_tick`]: link counters and the tap.
+    fn note_frame_delivery(&mut self, link: LinkId, payload: &PayloadRef) {
         let len = self.arena.get(payload).len();
         self.links[link.0].stats.delivered += 1;
-        self.trace.record(TraceEntry::Delivered {
-            at,
-            link,
-            bytes: len,
-        });
-        FRAMES_DELIVERED.incr();
-        self.flight_record(FlightKind::Deliver, link.index() as u64, len as u64);
-        if self.golden.is_some() {
-            let wire = self.arena.get(payload).to_vec();
-            let idx = self.push_golden(GoldenEventKind::Delivered, link, wire);
-            self.golden.as_mut().unwrap().last_delivery = Some(idx);
-        }
+        self.tap(
+            FlightKind::Deliver,
+            link.index() as u64,
+            len as u64,
+            Some(payload),
+        );
     }
 
     /// Retracts one delivery from a link's counters. Batch pumps call
@@ -818,9 +741,9 @@ impl Simulator {
     /// had already stopped earlier in the same tick (done, or past its
     /// deadline): a standalone run would never have popped them, so the
     /// retraction keeps per-session [`LinkStats`] identical to
-    /// standalone. The trace entry is not retracted — the trace is
-    /// observational and documents what the shared engine actually
-    /// popped.
+    /// standalone. The tap's `Deliver` event is not retracted:
+    /// telemetry (counters, flight ring, golden log) records what the
+    /// shared engine actually popped.
     pub fn skip_delivery(&mut self, link: LinkId) {
         let stats = &mut self.links[link.0].stats;
         debug_assert!(stats.delivered > 0, "no delivery to retract");
@@ -884,19 +807,22 @@ impl Simulator {
         self.faulted = true;
     }
 
-    /// Records one fault application in the observability layer: bumps
-    /// the `fault.injected` counter and logs a [`FlightKind::Fault`]
-    /// event (`subject` = node or link index, `detail` = fault-kind
-    /// discriminant). Called by [`crate::scenario::apply_fault`] so
-    /// every driver reports faults identically.
+    /// Reports one fault application to the event tap as a
+    /// [`FlightKind::Fault`] event (`subject` = node or link index,
+    /// `detail` = fault-kind discriminant), which bumps the
+    /// `fault.injected` counter. Called by
+    /// [`crate::scenario::apply_fault`] so every driver reports faults
+    /// identically.
     pub fn note_fault(&mut self, subject: u64, detail: u64) {
-        FAULTS_INJECTED.incr();
-        self.flight_record(FlightKind::Fault, subject, detail);
+        self.tap(FlightKind::Fault, subject, detail, None);
     }
 
     /// A frame the caller drained but whose destination node crashed
-    /// mid-batch: retracts the delivery bookkeeping and records the
-    /// frame as lost, exactly as the pop-time dead check would have.
+    /// mid-batch: retracts the delivery from the link counters and
+    /// records the frame as lost, exactly as the pop-time dead check
+    /// would have. As with [`Simulator::skip_delivery`], the tap's
+    /// `Deliver` event stands: telemetry records what the shared engine
+    /// popped, followed here by the `Drop`.
     /// The batched pump calls this for same-tick frames a standalone
     /// [`Simulator::step_ref`] run would have killed at pop time.
     pub fn drop_delivery(&mut self, link: LinkId, payload: PayloadRef) {
@@ -913,19 +839,11 @@ impl Simulator {
     }
 
     /// Loss bookkeeping for a frame killed by a node crash — mirrors
-    /// the loss path of [`Simulator::send_ref`] (stats, trace, metrics,
-    /// flight, golden) and releases the payload.
+    /// the loss path of [`Simulator::send_ref`] (link stats, tap) and
+    /// releases the payload.
     fn note_crash_drop(&mut self, link: LinkId, payload: PayloadRef) {
         self.links[link.0].stats.lost += 1;
-        self.trace.record(TraceEntry::Lost {
-            at: self.time,
-            link,
-        });
-        FRAMES_DROPPED.incr();
-        self.flight_record(FlightKind::Drop, link.index() as u64, 0);
-        if self.golden.is_some() {
-            self.push_golden(GoldenEventKind::Lost, link, Vec::new());
-        }
+        self.tap(FlightKind::Drop, link.index() as u64, 0, None);
         self.arena.release(payload);
     }
 
@@ -952,7 +870,7 @@ impl Simulator {
                         self.note_crash_drop(link, payload);
                         continue;
                     }
-                    self.note_frame_delivery(at, link, &payload);
+                    self.note_frame_delivery(link, &payload);
                     return Some(EventRef::Frame {
                         node: to,
                         link,
@@ -970,8 +888,7 @@ impl Simulator {
                     if self.faulted && self.event_is_dead(node, seq) {
                         continue;
                     }
-                    TIMERS_FIRED.incr();
-                    self.flight_record(FlightKind::TimerFire, node.index() as u64, token);
+                    self.tap(FlightKind::TimerFire, node.index() as u64, token, None);
                     return Some(EventRef::Timer { node, token });
                 }
             }
@@ -1011,7 +928,7 @@ impl Simulator {
                         self.note_crash_drop(link, payload);
                         continue;
                     }
-                    self.note_frame_delivery(at, link, &payload);
+                    self.note_frame_delivery(link, &payload);
                     out.push(EventRef::Frame {
                         node: to,
                         link,
@@ -1026,17 +943,16 @@ impl Simulator {
                     if self.faulted && self.event_is_dead(node, seq) {
                         continue;
                     }
-                    TIMERS_FIRED.incr();
-                    self.flight_record(FlightKind::TimerFire, node.index() as u64, token);
+                    self.tap(FlightKind::TimerFire, node.index() as u64, token, None);
                     out.push(EventRef::Timer { node, token });
                     timers += 1;
                     tick = Some(at);
                 }
             }
         }
-        if tick.is_some() && self.flight.is_some() {
+        if tick.is_some() {
             let frames = out.len() as u64 - timers;
-            self.flight_record(FlightKind::DrainBatch, frames, timers);
+            self.tap(FlightKind::DrainBatch, frames, timers, None);
         }
         tick
     }
@@ -1357,12 +1273,40 @@ mod tests {
         let a = sim.add_node();
         let b = sim.add_node();
         let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+        // One tap call per hook site feeds both recording sinks.
+        sim.set_obs(ObsConfig::off().with_flight());
+        sim.record_golden(true);
         sim.send(ab, vec![0; 16]);
         sim.step();
-        let kinds: Vec<_> = sim.trace().iter().collect();
-        assert_eq!(kinds.len(), 2);
-        assert!(matches!(kinds[0], TraceEntry::Sent { bytes: 16, .. }));
-        assert!(matches!(kinds[1], TraceEntry::Delivered { bytes: 16, .. }));
+        let flight = sim.take_flight().unwrap();
+        let golden = sim.take_golden_events();
+        let seen: Vec<_> = flight.events.iter().map(|e| (e.kind, e.detail)).collect();
+        assert_eq!(
+            seen,
+            vec![(FlightKind::Send, 16), (FlightKind::Deliver, 16)]
+        );
+        let kinds: Vec<_> = golden.iter().map(|e| (e.kind, e.bytes.len())).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (crate::golden::GoldenEventKind::Sent, 16),
+                (crate::golden::GoldenEventKind::Delivered, 16)
+            ]
+        );
+    }
+
+    #[test]
+    fn recorder_box_is_freed_once_both_sinks_are_off() {
+        let mut sim = Simulator::new(0);
+        assert!(sim.recorders.is_none(), "off by default");
+        sim.set_obs(ObsConfig::off().with_flight());
+        sim.record_golden(true);
+        sim.record_golden(false);
+        assert!(sim.recorders.is_some(), "flight still installed");
+        assert!(sim.take_flight().is_some());
+        assert!(sim.recorders.is_none(), "no sink left, no box");
+        sim.set_obs(ObsConfig::off());
+        assert!(sim.recorders.is_none(), "installing nothing boxes nothing");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use netdsl_netsim::{EventRef, LinkConfig, Simulator};
+use netdsl_netsim::{EventRef, LinkConfig, ObsConfig, Simulator};
 
 /// The allocation counter is process-global, so the tests in this
 /// binary must not run concurrently — the default parallel harness
@@ -84,15 +84,12 @@ fn frame_hot_path_is_allocation_free_once_warm() {
         .lock()
         .expect("counter tests never panic while locked");
     let mut sim = Simulator::new(3);
-    // Small trace ring so it saturates during warm-up; after that,
-    // recording overwrites in place.
-    sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
 
-    // Warm-up: grows the arena slot, the wheel's touched slots, the
-    // trace ring and the scratch buffers to their steady-state sizes.
+    // Warm-up: grows the arena slot, the wheel's touched slots and the
+    // scratch buffers to their steady-state sizes.
     pump(&mut sim, ab, a, 200);
 
     let before = allocations();
@@ -110,17 +107,17 @@ fn frame_hot_path_is_allocation_free_once_warm() {
 fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
     // Observability must not cost the alloc_zero invariant: with the
     // global metric switch on, every hot-path update lands in a
-    // pre-sized thread-local shard cell. The only allocation metrics
-    // ever perform is lazy registration (one Vec push per metric,
-    // process-wide), which the warm-up pump absorbs here. Thread-count
-    // invariance of the cross-shard snapshot merge is pinned in the
-    // obs crate's own suite.
+    // pre-sized thread-local shard cell, and the flight sink writes into
+    // a ring allocated once at install time (it wraps during the run).
+    // The only allocation metrics ever perform is lazy registration
+    // (one Vec push per metric, process-wide), which the warm-up pump
+    // absorbs here. Thread-count invariance of the cross-shard snapshot
+    // merge is pinned in the obs crate's own suite.
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
-    netdsl_obs::set_metrics_enabled(true);
     let mut sim = Simulator::new(3);
-    sim.set_trace_capacity(64);
+    sim.set_obs(ObsConfig::off().with_metrics().with_flight());
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
@@ -139,6 +136,8 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
     let snap = netdsl_obs::snapshot();
     let sent = snap.counter("sim.frames_sent").unwrap_or(0);
     assert!(sent >= 1_200, "counters should have observed the pump");
+    let flight = sim.take_flight().expect("flight sink installed");
+    assert!(flight.dropped > 0, "the flight ring wrapped while measured");
 }
 
 #[test]
@@ -150,7 +149,6 @@ fn owned_send_path_allocates_per_frame_for_contrast() {
         .lock()
         .expect("counter tests never panic while locked");
     let mut sim = Simulator::new(3);
-    sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));

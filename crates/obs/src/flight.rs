@@ -4,7 +4,7 @@
 //! A [`FlightRecorder`] answers "what was the engine doing just now"
 //! without unbounded memory: the ring is allocated once at install time
 //! and recording overwrites the oldest entry past capacity (counting
-//! what it evicted, mirroring the bounded frame [`Trace`]). Events are
+//! what it evicted). Events are
 //! [`Copy`] and carry no heap data — recording a [`FlightEvent`] is a
 //! couple of stores, so a recorder on the simulator hot path does not
 //! disturb the `alloc_zero` invariant; with no recorder installed the
@@ -14,8 +14,6 @@
 //! serializable dump (`netdsl-flight/1`) that `tools/obs_report`
 //! renders and the flight-parity suite replays against the golden
 //! corpus.
-//!
-//! [`Trace`]: https://docs.rs/netdsl-netsim
 
 use std::fmt;
 
@@ -26,9 +24,11 @@ pub const FLIGHT_SCHEMA: &str = "netdsl-flight/1";
 
 /// What one flight-recorder entry describes.
 ///
-/// The frame kinds (`Send`/`Deliver`/`Drop`/`Corrupt`) are recorded at
-/// the exact hook points golden capture uses, so their subsequence
-/// matches a fixture's golden event sequence one-for-one.
+/// The simulator's event tap feeds every kind to the flight ring, the
+/// metric counters and (for the four frame kinds
+/// `Send`/`Deliver`/`Drop`/`Corrupt`) the golden log from one call, so
+/// the frame subsequence matches a fixture's golden event sequence
+/// one-for-one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlightKind {
     /// A frame was handed to a link (`subject` = link, `detail` =
@@ -55,7 +55,9 @@ pub enum FlightKind {
     /// An ARQ sender retransmitted (`subject` = node, `detail` =
     /// retransmission count so far).
     Retransmit,
-    /// A received frame failed codec validation (`subject` = node).
+    /// An ARQ receiver rejected a frame: it failed codec validation,
+    /// or it was a duplicate, out of order, or an ack (`subject` = node,
+    /// `detail` = frame bytes).
     CodecReject,
     /// One tick's batch of due events was drained in the multiplexed
     /// pump (`subject` = frames, `detail` = timers in the batch).

@@ -10,18 +10,11 @@
 use netdsl_adapt::PolicyRto;
 use netdsl_netsim::scenario::FramePath;
 use netdsl_netsim::{FlightKind, RetransmitPolicy, TimerToken};
-use netdsl_obs::Counter;
 
 use crate::driver::{Endpoint, Io};
 
 use super::typestate::{new_sender, Finish, Ok_, Retry, Send, Sender, Timeout, ValidAck};
 use super::{send_ack, send_data, typestate, ArqFrame};
-
-/// ARQ-level metrics (`netdsl-obs`): inert until the registry is
-/// enabled, one sharded relaxed add each otherwise.
-static ARQ_TIMEOUTS: Counter = Counter::new("arq.timeouts");
-static ARQ_RETRANSMISSIONS: Counter = Counter::new("arq.retransmissions");
-static ARQ_FRAMES_REJECTED: Counter = Counter::new("arq.frames_rejected");
 
 /// Retransmission statistics for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,7 +195,6 @@ impl Endpoint for SwSender {
         };
         // TIMEOUT : Wait → TimedOut.
         let timed_out = machine.step(Timeout);
-        ARQ_TIMEOUTS.incr();
         io.flight_event(FlightKind::ArqTimeout, self.attempt);
         self.rto.on_timeout();
         if timed_out.data().retries >= self.max_retries {
@@ -212,7 +204,6 @@ impl Endpoint for SwSender {
         // RETRY : TimedOut → Ready, then relaunch (retransmission).
         let ready = timed_out.step(Retry);
         self.stats.retransmissions += 1;
-        ARQ_RETRANSMISSIONS.incr();
         io.flight_event(FlightKind::Retransmit, self.stats.retransmissions);
         self.st = St::Ready(ready);
         self.launch(io, true);
@@ -225,7 +216,7 @@ impl Endpoint for SwSender {
     fn reset(&mut self) {
         // Total state loss, except: the message store (the application
         // re-offers the workload), the accumulated stats (observational,
-        // like the simulator trace), and the attempt counter (monotone
+        // like the simulator's telemetry), and the attempt counter (monotone
         // timer tokens must never alias retracted pre-crash timers).
         self.next_msg = 0;
         self.st = St::Ready(new_sender());
@@ -288,38 +279,34 @@ impl Endpoint for SwReceiver {
     fn start(&mut self, _io: &mut Io<'_>) {}
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        match ArqFrame::decode_via(self.path, frame) {
-            Ok(ArqFrame::Data { seq, payload }) => {
-                if seq == self.expected {
-                    // In-order: deliver exactly once, ack, advance.
-                    self.delivered.push(payload);
-                    send_ack(io, self.path, seq);
-                    self.acks_sent += 1;
-                    self.expected = self.expected.wrapping_add(1);
-                } else if seq == self.expected.wrapping_sub(1) {
+        let accepted = match ArqFrame::decode_via(self.path, frame) {
+            Ok(ArqFrame::Data { seq, payload }) if seq == self.expected => {
+                // In-order: deliver exactly once, ack, advance.
+                self.delivered.push(payload);
+                send_ack(io, self.path, seq);
+                self.acks_sent += 1;
+                self.expected = self.expected.wrapping_add(1);
+                true
+            }
+            Ok(ArqFrame::Data { seq, .. }) => {
+                if seq == self.expected.wrapping_sub(1) {
                     // Duplicate of the last delivered packet (its ack was
                     // lost): re-ack but do not re-deliver.
                     send_ack(io, self.path, seq);
                     self.acks_sent += 1;
-                    self.rejected += 1;
-                    ARQ_FRAMES_REJECTED.incr();
-                } else {
-                    self.rejected += 1;
-                    ARQ_FRAMES_REJECTED.incr();
                 }
+                false
             }
-            Ok(ArqFrame::Ack { .. }) => {
-                self.rejected += 1; // acks don't belong at the receiver
-                ARQ_FRAMES_REJECTED.incr();
-            }
-            Err(_) => {
-                // Checksum/structure failure: the declarative validation
-                // rejected the frame before any protocol processing —
-                // §3.4 item 2 in action.
-                self.rejected += 1;
-                ARQ_FRAMES_REJECTED.incr();
-                io.flight_event(FlightKind::CodecReject, frame.len() as u64);
-            }
+            // Acks don't belong at the receiver. A checksum/structure
+            // failure is rejected by the declarative validation before
+            // any protocol processing — §3.4 item 2 in action.
+            Ok(ArqFrame::Ack { .. }) | Err(_) => false,
+        };
+        if !accepted {
+            // One tap event per rejection: the `arq.frames_rejected`
+            // counter and the flight `codec_reject` count are one source.
+            self.rejected += 1;
+            io.flight_event(FlightKind::CodecReject, frame.len() as u64);
         }
     }
 

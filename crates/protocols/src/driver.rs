@@ -82,10 +82,11 @@ impl Io<'_> {
         self.sim.annotate_delivery(verdict, digest);
     }
 
-    /// Records a protocol-level flight event (ARQ timeout, retransmit,
-    /// codec reject, …) with this endpoint's node as the subject. A
-    /// no-op unless the scenario installed a flight recorder
-    /// ([`netdsl_netsim::ObsConfig`]), so endpoints call it
+    /// Reports a protocol-level event (ARQ timeout, retransmit, codec
+    /// reject, …) to the simulator's event tap with this endpoint's
+    /// node as the subject: one call bumps the kind's counter and, when
+    /// the scenario installed one ([`netdsl_netsim::ObsConfig`]),
+    /// records it in the flight ring. Endpoints call it
     /// unconditionally.
     pub fn flight_event(&mut self, kind: netdsl_netsim::FlightKind, detail: u64) {
         self.sim.flight_protocol_event(kind, self.node, detail);

@@ -25,7 +25,10 @@
 //! preserves each session's relative event order; and two retraction
 //! hooks ([`Simulator::skip_delivery`],
 //! [`Simulator::consume_cancellation`]) undo the places where batched
-//! draining pops events a standalone pump would never have seen.
+//! draining pops events a standalone pump would never have seen. They
+//! retract link counters only: the simulator's event tap (metrics,
+//! flight ring, golden log) records what the shared engine popped and
+//! is never retracted.
 //! `tests/golden_parity.rs` replays the committed fixture corpus through
 //! this driver and compares every result with the solo run.
 //!

@@ -1,51 +1,63 @@
 //! Allocation ceilings for one warm frame encode or decode of the two
-//! suite wire formats (ARQ and sliding-window), on both frame paths.
+//! suite wire formats (ARQ and sliding-window), on both frame paths, and
+//! for one warm whole-session run of two corpus fixtures.
 //!
 //! Allocation counts are exact and do not depend on the machine, so
-//! these ceilings catch a per-frame regression that timing would blur:
-//! rebuilding a `PacketSpec` on every frame, for instance, costs the
-//! interpretive walker a couple of dozen allocations. A counting
-//! `#[global_allocator]` wraps the system allocator; each probe makes
-//! one warm-up call (spec and codec caches, the thread-local decode
-//! view), then counts the allocations of the next call.
+//! these ceilings catch a regression that timing would blur: rebuilding
+//! a `PacketSpec` on every frame, for instance, costs the interpretive
+//! walker a couple of dozen allocations. A counting `#[global_allocator]`
+//! wraps the system allocator; each probe makes one warm-up call (spec
+//! and codec caches, the thread-local decode view, the simulator core
+//! pool), then counts the allocations of the next call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, ScenarioDriver};
 use netdsl_protocols::arq::ArqFrame;
+use netdsl_protocols::golden::corpus;
+use netdsl_protocols::scenario::SuiteDriver;
 use netdsl_protocols::window::WindowFrame;
 
-/// The allocation counter is process-global, so the tests in this
-/// binary must not run concurrently. Each test holds this lock for its
-/// whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 /// System allocator wrapper that counts every allocation entry point
-/// (alloc, alloc_zeroed, realloc). Deallocations are not counted.
+/// (alloc, alloc_zeroed, realloc) made by the current thread.
+/// Deallocations are not counted. The count is per thread because the
+/// test harness allocates on its own threads (reporting a finished test,
+/// spawning the next) while a probe runs; everything a probe measures
+/// runs on the probing thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every method forwards to `System` with its arguments unchanged;
-// the only addition is a relaxed counter, which publishes no other data.
+// the only addition is a thread-local counter, which allocates nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: the caller's `GlobalAlloc` contract is passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: the caller's `GlobalAlloc` contract is passed on unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr` came from this allocator, which is `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,9 +74,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocations made by the second of two calls of `op`.
 fn warm_allocs(mut op: impl FnMut()) -> u64 {
     op();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     op();
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// Counts the eight probes of one frame path: data and ack encodes into a
@@ -129,9 +141,29 @@ fn probe(path: FramePath) -> Vec<(&'static str, u64)> {
     ]
 }
 
+/// Counts one warm `SuiteDriver::run` of each whole-session fixture on
+/// `path`.
+fn probe_sessions(path: FramePath) -> Vec<(&'static str, u64)> {
+    let fixtures = corpus();
+    ["sw-loss", "gbn-loss"]
+        .into_iter()
+        .map(|name| {
+            let mut scenario = fixtures
+                .iter()
+                .find(|s| s.name == name)
+                .expect("corpus names are stable")
+                .clone();
+            scenario.protocol = scenario.protocol.with_frame_path(path);
+            let allocs = warm_allocs(|| {
+                black_box(SuiteDriver.run(&scenario).expect("fixture runs"));
+            });
+            (name, allocs)
+        })
+        .collect()
+}
+
 /// Fails with the whole measured table if any probe exceeds its ceiling.
-fn assert_within(path: FramePath, ceilings: &[(&str, u64)]) {
-    let measured = probe(path);
+fn assert_within(path: FramePath, measured: Vec<(&str, u64)>, ceilings: &[(&str, u64)]) {
     let names: Vec<_> = measured.iter().map(|(name, _)| *name).collect();
     let expected: Vec<_> = ceilings.iter().map(|(name, _)| *name).collect();
     assert_eq!(names, expected, "probe and ceiling tables disagree");
@@ -148,11 +180,9 @@ fn assert_within(path: FramePath, ceilings: &[(&str, u64)]) {
 
 #[test]
 fn interpreted_frames_stay_within_their_allocation_ceilings() {
-    let _serial = SERIAL
-        .lock()
-        .expect("counter tests never panic while locked");
     assert_within(
         FramePath::Interpreted,
+        probe(FramePath::Interpreted),
         &[
             ("arq encode_data_into", 20),
             ("arq encode_ack_into", 19),
@@ -168,11 +198,9 @@ fn interpreted_frames_stay_within_their_allocation_ceilings() {
 
 #[test]
 fn compiled_frames_stay_within_their_allocation_ceilings() {
-    let _serial = SERIAL
-        .lock()
-        .expect("counter tests never panic while locked");
     assert_within(
         FramePath::Compiled,
+        probe(FramePath::Compiled),
         &[
             ("arq encode_data_into", 2),
             ("arq encode_ack_into", 2),
@@ -183,5 +211,19 @@ fn compiled_frames_stay_within_their_allocation_ceilings() {
             ("window decode_via data", 1),
             ("window decode_via ack", 0),
         ],
+    );
+}
+
+#[test]
+fn whole_sessions_stay_within_their_allocation_ceilings() {
+    assert_within(
+        FramePath::Interpreted,
+        probe_sessions(FramePath::Interpreted),
+        &[("sw-loss", 553), ("gbn-loss", 441)],
+    );
+    assert_within(
+        FramePath::Compiled,
+        probe_sessions(FramePath::Compiled),
+        &[("sw-loss", 60), ("gbn-loss", 47)],
     );
 }

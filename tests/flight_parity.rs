@@ -6,10 +6,13 @@
 //! same order, same ticks, same link, same byte counts. And because
 //! telemetry is **not** a parity axis, recording a flight must leave
 //! the golden transcript byte-identical to the committed fixture.
+//! The third sink of the event tap, the metric counters, must move by
+//! exactly the flight recording's per-kind counts.
 
 use std::path::PathBuf;
+use std::process::Command;
 
-use netdsl::netsim::{FlightKind, GoldenEventKind};
+use netdsl::netsim::{tap, FlightKind, GoldenEventKind};
 use netdsl::obs::FlightRecording;
 use netdsl::protocols::golden::{corpus, record_with_flight};
 
@@ -122,4 +125,54 @@ fn flight_recordings_are_timer_aware_and_roundtrip_canonically() {
         (back.capacity, back.recorded),
         (flight.capacity, flight.recorded)
     );
+}
+
+/// Set in the child process that runs the counter check alone.
+const ALONE: &str = "NETDSL_FLIGHT_PARITY_ALONE";
+
+#[test]
+fn tap_counters_move_by_the_flight_kind_counts_of_every_fixture() {
+    // The metric registry is process-wide and this file's other tests
+    // record fixtures concurrently, so a counter delta taken here would
+    // include their events. The check therefore runs serially: alone,
+    // in a child process of this test binary.
+    let name = "tap_counters_move_by_the_flight_kind_counts_of_every_fixture";
+    if std::env::var_os(ALONE).is_none() {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .expect("the test binary re-runs itself");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "counter check failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    netdsl::obs::set_metrics_enabled(true);
+    let counted: Vec<_> = FlightKind::ALL
+        .into_iter()
+        .filter_map(|kind| tap::counter(kind).map(|c| (kind, c)))
+        .collect();
+    for scenario in &corpus() {
+        let before: Vec<u64> = counted.iter().map(|(_, c)| c.value()).collect();
+        let (_, flight) = record_with_flight(scenario).unwrap();
+        assert_eq!(flight.dropped, 0, "{}: ring overflowed", scenario.name);
+        let kind_counts = flight.kind_counts();
+        for ((kind, counter), before) in counted.iter().zip(before) {
+            let recorded = kind_counts
+                .iter()
+                .find(|(k, _)| k == kind)
+                .map_or(0, |(_, n)| *n);
+            assert_eq!(
+                counter.value() - before,
+                recorded,
+                "{}: {} disagrees with the flight's {kind} count",
+                scenario.name,
+                counter.name()
+            );
+        }
+    }
 }
