@@ -25,7 +25,6 @@ use std::time::Instant;
 use netdsl_bench::codec_specs::{fill_values, frame_corpus, spec_set};
 use netdsl_bench::harnesses::e12_campaign;
 use netdsl_bench::report::{self, BenchReport, Metric};
-use netdsl_bench::stages;
 use netdsl_codec::lower;
 use netdsl_netsim::scenario::FramePath;
 use netdsl_protocols::scenario::SuiteDriver;
@@ -244,7 +243,7 @@ fn main() {
         );
     }
 
-    // Advisory like E11: scheduler noise must not redden CI, but the
+    // Advisory: scheduler noise must not redden CI, but the
     // artifact carries the number the subsystem is gated on.
     if decode_geomean < 2.0 {
         eprintln!(
@@ -252,10 +251,6 @@ fn main() {
              (expected ≥ 2x); likely measurement noise on a preempted runner"
         );
     }
-    // Stage attribution rides along (and into the E12 alias below) so a
-    // codec regression can be localised to encode/decode vs the rest.
-    stages::attach(&mut out, reps, report::scaled(20_000, 2_000));
-
     println!("\nexpected shape: decode_speedup ≥ 2 on every spec; encode_speedup > 1;");
     println!("compiled campaign throughput ≥ interpreted.");
 

@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use netdsl_bench::harnesses::e13_campaign;
 use netdsl_bench::report::{self, BenchReport, Metric};
-use netdsl_bench::stages;
 use netdsl_netsim::{EventRef, LinkConfig, Simulator};
 use netdsl_protocols::scenario::SuiteDriver;
 
@@ -141,10 +140,6 @@ fn main() {
         Metric::new("campaign_success", "ratio")
             .with_sample(agg.succeeded as f64 / agg.runs as f64),
     );
-
-    // Stage attribution rides along (and into the E13 alias below) so a
-    // simcore regression can be localised to schedule/deliver vs codec.
-    stages::attach(&mut out, reps, report::scaled(20_000, 2_000));
 
     println!("\nthe floor: CI gates campaign_throughput on the committed artifact;");
     println!("the core allocates nothing per frame (see netsim tests/alloc_zero.rs).");

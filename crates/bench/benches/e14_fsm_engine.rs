@@ -26,7 +26,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use netdsl_bench::report::{self, BenchReport, Metric};
-use netdsl_bench::stages;
 use netdsl_core::fsm::{paper_sender_spec, EventId, Machine, Spec};
 use netdsl_core::fsm_compiled::{lower, CompiledFsm, Stepper};
 use netdsl_verify::{CompiledSpecSystem, Explorer, SpecSystem};
@@ -191,10 +190,6 @@ fn main() {
              (expected ≥ 1.5x); likely measurement noise"
         );
     }
-    // Stage attribution rides along (and into the E14 alias below) so an
-    // FSM-engine run stays comparable stage-for-stage with E11–E13.
-    stages::attach(&mut out, reps, report::scaled(20_000, 2_000));
-
     println!("\nexpected shape: step_speedup ≥ 1.5 (the FSM-engine gate), checker_speedup > 1;");
     println!("both engines are differential-tested equivalent (core tests/fsm_differential.rs).");
 

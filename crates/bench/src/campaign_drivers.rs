@@ -1,23 +1,20 @@
-//! Campaign drivers that compose crates the protocol suite cannot.
+//! The one campaign driver that lives outside `protocols::registry`.
 //!
-//! The `protocols` and `adapt` crates deliberately do not depend on each
-//! other, so the scenario drivers that combine them live here:
-//!
-//! * [`AdaptiveDriver`] — stop-and-wait with the RFC 6298-style adaptive
-//!   retransmission timer ([`ADAPTIVE_SW`]), the E8 contender;
-//! * [`RelayDriver`] — source-routed relaying over parallel paths with
-//!   trust-learning / random / fixed path selection ([`TRUST_LEARNING`],
-//!   [`RANDOM_PATH`], [`FIXED_PATH`]), the E9 environment.
-//!
-//! Combine them with the protocol suite through
-//! [`DriverSet`](netdsl_netsim::scenario::DriverSet):
+//! Every pairwise protocol — stop-and-wait under any retransmission
+//! policy included — runs through the protocol suite's registry and its
+//! `SuiteDriver`. [`RelayDriver`] is the exception: E9's source-routed
+//! relaying over parallel paths ([`TRUST_LEARNING`], [`RANDOM_PATH`],
+//! [`FIXED_PATH`]) runs its own multi-path simulator from the `adapt`
+//! crate, not a two-endpoint session the registry could build.
 //!
 //! ```
-//! use netdsl_bench::campaign_drivers::AdaptiveDriver;
-//! use netdsl_netsim::scenario::DriverSet;
-//! use netdsl_protocols::scenario::SuiteDriver;
+//! use netdsl_bench::campaign_drivers::{RelayDriver, TRUST_LEARNING};
+//! use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TopologySpec};
+//! use netdsl_netsim::LinkConfig;
 //!
-//! let driver = DriverSet::new().with(SuiteDriver::new()).with(AdaptiveDriver::new());
+//! let relay = Scenario::new(ProtocolSpec::new(TRUST_LEARNING), LinkConfig::reliable(1))
+//!     .with_topology(TopologySpec::ParallelPaths { paths: 3, hops: 2, compromised: 0 });
+//! assert!(RelayDriver::new().run(&relay).unwrap().success);
 //! ```
 
 use netdsl_adapt::trust::{run_relay_session_over, Policy};
@@ -25,16 +22,6 @@ use netdsl_netsim::scenario::{
     Scenario, ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
 };
 use netdsl_netsim::LinkStats;
-use netdsl_protocols::arq::session::SwReceiver;
-use netdsl_protocols::scenario::drive_duplex;
-
-use crate::adaptive_arq::AdaptiveSwSender;
-
-/// Protocol key for stop-and-wait with the adaptive retransmission
-/// timer; [`ProtocolSpec::timeout`] is the *initial* RTO.
-///
-/// [`ProtocolSpec::timeout`]: netdsl_netsim::scenario::ProtocolSpec
-pub const ADAPTIVE_SW: &str = "adaptive-sw";
 
 /// Protocol key for ε-greedy trust-learning path selection.
 pub const TRUST_LEARNING: &str = "trust-learning";
@@ -42,54 +29,6 @@ pub const TRUST_LEARNING: &str = "trust-learning";
 pub const RANDOM_PATH: &str = "random-path";
 /// Protocol key for always using path 0.
 pub const FIXED_PATH: &str = "fixed-path";
-
-/// [`ScenarioDriver`] for [`ADAPTIVE_SW`] (duplex topologies only).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AdaptiveDriver;
-
-impl AdaptiveDriver {
-    /// A new stateless driver.
-    pub fn new() -> Self {
-        AdaptiveDriver
-    }
-}
-
-impl ScenarioDriver for AdaptiveDriver {
-    fn supports(&self, protocol: &str) -> bool {
-        protocol == ADAPTIVE_SW
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        if scenario.topology != TopologySpec::Duplex {
-            return Err(ScenarioError::UnsupportedTopology(format!(
-                "{ADAPTIVE_SW} runs duplex topologies only, got {:?}",
-                scenario.topology
-            )));
-        }
-        if scenario.protocol.name != ADAPTIVE_SW {
-            return Err(ScenarioError::UnknownProtocol(
-                scenario.protocol.name.clone(),
-            ));
-        }
-        let messages = scenario.traffic.generate();
-        let n = messages.len();
-        Ok(drive_duplex(
-            scenario,
-            AdaptiveSwSender::new(
-                messages,
-                scenario.protocol.timeout,
-                scenario.protocol.max_retries,
-            ),
-            SwReceiver::new(n),
-            |d| {
-                let s = d.a().stats();
-                (d.a().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            AdaptiveSwSender::messages,
-            SwReceiver::delivered,
-        ))
-    }
-}
 
 /// [`ScenarioDriver`] for the relay-path policies; requires a
 /// [`TopologySpec::ParallelPaths`] topology, whose `compromised` count
@@ -165,24 +104,8 @@ impl ScenarioDriver for RelayDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netdsl_netsim::scenario::{DriverSet, ProtocolSpec, TrafficPattern};
+    use netdsl_netsim::scenario::{ProtocolSpec, TrafficPattern};
     use netdsl_netsim::LinkConfig;
-    use netdsl_protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
-
-    #[test]
-    fn adaptive_driver_completes_a_lossy_transfer() {
-        let s = Scenario::new(
-            ProtocolSpec::new(ADAPTIVE_SW)
-                .with_timeout(300)
-                .with_retries(100),
-            LinkConfig::lossy(5, 0.2),
-        )
-        .with_traffic(TrafficPattern::messages(10, 16))
-        .with_seed(3);
-        let r = AdaptiveDriver::new().run(&s).unwrap();
-        assert!(r.success, "{r:?}");
-        assert_eq!(r.messages_delivered, 10);
-    }
 
     #[test]
     fn relay_driver_maps_policies_and_compromise() {
@@ -208,18 +131,6 @@ mod tests {
             r.delivery_ratio() < 0.5,
             "all paths hostile → mostly lost: {r:?}"
         );
-    }
-
-    #[test]
-    fn driver_set_composes_suite_and_extensions() {
-        let set = DriverSet::new()
-            .with(SuiteDriver::new())
-            .with(AdaptiveDriver::new())
-            .with(RelayDriver::new());
-        for name in [STOP_AND_WAIT, ADAPTIVE_SW, TRUST_LEARNING] {
-            assert!(set.supports(name), "{name}");
-        }
-        assert!(!set.supports("nonesuch"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Campaign builders shared by the harness mains and the test suite.
 //!
 //! The campaign-style experiments (E4 goodput, E8 timers, E9 trust
-//! routing, E11 campaign throughput) define their sweeps here so that
+//! routing, E12/E13 engine throughput) define their sweeps here so that
 //! the bench binaries and `tests/campaign.rs` construct the *same*
 //! campaigns. Each builder takes `quick: bool` (the bench mains pass
 //! [`report::quick()`](crate::report::quick)) and obeys one contract:
@@ -12,12 +12,12 @@
 
 use netdsl_netsim::campaign::{Campaign, Sweep};
 use netdsl_netsim::scenario::{
-    EngineConfig, FramePath, ProtocolSpec, TopologySpec, TrafficPattern,
+    EngineConfig, FramePath, ProtocolSpec, RetransmitPolicy, TopologySpec, TrafficPattern,
 };
 use netdsl_netsim::LinkConfig;
 use netdsl_protocols::scenario::{GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 
-use crate::campaign_drivers::{ADAPTIVE_SW, FIXED_PATH, RANDOM_PATH, TRUST_LEARNING};
+use crate::campaign_drivers::{FIXED_PATH, RANDOM_PATH, TRUST_LEARNING};
 use crate::workload;
 
 /// Picks `full` or `small` by mode — the builders' only quick/full knob.
@@ -99,28 +99,29 @@ pub const E8_DELAYS: [u64; 3] = [5, 30, 75];
 pub const E8_LOSSES: [f64; 2] = [0.0, 0.1];
 
 /// E8 — fixed vs adaptive retransmission timers across delay × loss.
+/// Every column is stop-and-wait; the adaptive one runs
+/// [`RetransmitPolicy::AdaptiveRto`] with a 150-tick initial RTO.
 /// Quick mode shrinks the transfer from 40 to 10 messages.
 pub fn e8_campaign(quick: bool) -> Campaign {
     let messages = pick(quick, 40, 10);
-    let fixed = |t: u64| {
+    let sw = |t: u64| {
         ProtocolSpec::new(STOP_AND_WAIT)
             .with_timeout(t)
             .with_retries(400)
     };
     Campaign::new("e8-timers", 0xE8)
-        .protocols(
-            Sweep::grid([
-                (E8_PROTOCOLS[0], fixed(30)),
-                (E8_PROTOCOLS[1], fixed(150)),
-                (E8_PROTOCOLS[2], fixed(600)),
-            ])
-            .and(
+        .protocols(Sweep::grid([
+            (E8_PROTOCOLS[0], sw(30)),
+            (E8_PROTOCOLS[1], sw(150)),
+            (E8_PROTOCOLS[2], sw(600)),
+            (
                 E8_PROTOCOLS[3],
-                ProtocolSpec::new(ADAPTIVE_SW)
-                    .with_timeout(150)
-                    .with_retries(400),
+                sw(150).with_retransmit(RetransmitPolicy::AdaptiveRto {
+                    min_rto: 4,
+                    max_rto: 100_000,
+                }),
             ),
-        )
+        ]))
         .links(Sweep::grid(E8_DELAYS.into_iter().flat_map(|delay| {
             E8_LOSSES.into_iter().map(move |loss| {
                 (
@@ -170,43 +171,6 @@ pub fn e9_campaign(quick: bool) -> Campaign {
             )
         })))
         .traffic(Sweep::single("rounds", TrafficPattern::messages(rounds, 8)))
-        .seeds(Sweep::seeds(3))
-}
-
-/// E11 — the campaign-throughput workload: a protocol × link sweep
-/// sized to exercise the simulator hot path (payload moves, heap
-/// churn, per-cell stats merging) rather than any protocol claim.
-/// Quick mode shrinks the per-scenario transfer from 48 to 10 messages.
-pub fn e11_campaign(quick: bool) -> Campaign {
-    let messages = pick(quick, 48, 10);
-    Campaign::new("e11-throughput", 0xE11)
-        .protocols(Sweep::grid([
-            ("sw", ProtocolSpec::new(STOP_AND_WAIT).with_retries(400)),
-            (
-                "gbn8",
-                ProtocolSpec::new(GO_BACK_N)
-                    .with_window(8)
-                    .with_retries(400),
-            ),
-            (
-                "sr8",
-                ProtocolSpec::new(SELECTIVE_REPEAT)
-                    .with_window(8)
-                    .with_retries(400),
-            ),
-        ]))
-        .links(Sweep::grid([
-            ("clean", LinkConfig::reliable(3)),
-            ("lossy", LinkConfig::lossy(3, 0.15)),
-            (
-                "noisy",
-                LinkConfig::reliable(3).with_corrupt(0.1).with_jitter(4),
-            ),
-        ]))
-        .traffic(Sweep::single(
-            "msgs",
-            TrafficPattern::messages(messages, 256),
-        ))
         .seeds(Sweep::seeds(3))
 }
 
@@ -300,7 +264,6 @@ mod tests {
             ("e4", e4_campaign as fn(bool) -> Campaign),
             ("e8", e8_campaign),
             ("e9", e9_campaign),
-            ("e11", e11_campaign),
             ("e12-interpreted", |q| {
                 e12_campaign(q, FramePath::Interpreted)
             }),
@@ -320,7 +283,7 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_workloads() {
-        for builder in [e4_campaign, e8_campaign, e9_campaign, e11_campaign] {
+        for builder in [e4_campaign, e8_campaign, e9_campaign] {
             let full = builder(false).scenarios();
             let quick = builder(true).scenarios();
             assert!(quick[0].traffic.count < full[0].traffic.count);

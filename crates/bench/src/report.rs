@@ -16,7 +16,7 @@
 //!
 //! Criterion-style harnesses (E1–E3) emit this schema through the
 //! criterion shim's JSON sink without touching this module; campaign
-//! harnesses (E4, E8, E9, E11) convert a
+//! harnesses (E4, E8, E9) convert a
 //! [`CampaignReport`] with
 //! [`BenchReport::from_campaign`]; bespoke harnesses (E5–E7, E10) build
 //! [`Metric`]s directly.

@@ -346,7 +346,7 @@ impl Campaign {
                     // Batch results worker-locally and merge under one
                     // lock at the end: nothing reads the slots until all
                     // workers have joined, and per-scenario locking is
-                    // measurable contention on short scenarios (E11).
+                    // measurable contention on short scenarios.
                     let mut local: Vec<(usize, Result<ScenarioResult, ScenarioError>)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);

@@ -50,14 +50,14 @@ pub enum FlightKind {
     /// `detail` = token).
     TimerCancel,
     /// An ARQ sender's retransmission timer expired (`subject` = node,
-    /// `detail` = attempt token).
+    /// `detail` = the timer's token).
     ArqTimeout,
     /// An ARQ sender retransmitted (`subject` = node, `detail` =
     /// retransmission count so far).
     Retransmit,
     /// An ARQ receiver rejected a frame: it failed codec validation,
-    /// or it was a duplicate, out of order, or an ack (`subject` = node,
-    /// `detail` = frame bytes).
+    /// or it was a duplicate, out of order, outside the receive window,
+    /// or an ack (`subject` = node, `detail` = frame bytes).
     CodecReject,
     /// One tick's batch of due events was drained in the multiplexed
     /// pump (`subject` = frames, `detail` = timers in the batch).

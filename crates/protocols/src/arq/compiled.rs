@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use netdsl_core::fsm::{paper_sender_spec, EventId, StateId, VarId};
 use netdsl_core::fsm_compiled::{lower, CompiledFsm, Stepper};
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::TimerToken;
+use netdsl_netsim::{FlightKind, TimerToken};
 
 use crate::driver::{Endpoint, Io};
 
@@ -201,6 +201,7 @@ impl Endpoint for FsmSender {
             return;
         }
         self.step(self.ids.timeout); // Wait → Timeout
+        io.flight_event(FlightKind::ArqTimeout, self.attempt);
         if self.retries >= self.max_retries {
             self.failed = true;
             debug_assert_eq!(self.stepper.state(), self.ids.timeout_state);
@@ -209,6 +210,7 @@ impl Endpoint for FsmSender {
         self.step(self.ids.retry); // Timeout → Ready
         self.retries += 1;
         self.stats.retransmissions += 1;
+        io.flight_event(FlightKind::Retransmit, self.stats.retransmissions);
         self.launch(io);
     }
 

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use netdsl_adapt::PolicyRto;
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
+use netdsl_netsim::{FlightKind, LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
 use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowStats};
@@ -175,6 +175,7 @@ impl Endpoint for GbnSender {
             return; // stale timer, or nothing outstanding
         }
         self.retries += 1;
+        io.flight_event(FlightKind::ArqTimeout, token);
         self.rto.on_timeout();
         if self.retries > self.max_retries {
             self.failed = true;
@@ -186,6 +187,7 @@ impl Endpoint for GbnSender {
         for seq in self.base..self.next {
             self.transmit(seq, io);
             self.stats.retransmissions += 1;
+            io.flight_event(FlightKind::Retransmit, self.stats.retransmissions);
         }
         self.arm_timer(io);
     }
@@ -255,7 +257,9 @@ impl Endpoint for GbnReceiver {
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
         let Ok(WindowFrame::Data { seq, payload }) = WindowFrame::decode_via(self.path, frame)
         else {
-            return; // corrupt frames never reach protocol logic
+            // Corrupt frames never reach protocol logic.
+            io.flight_event(FlightKind::CodecReject, frame.len() as u64);
+            return;
         };
         if seq == self.expected {
             self.delivered.push(payload);
@@ -263,6 +267,7 @@ impl Endpoint for GbnReceiver {
             send_ack(io, self.path, seq);
         } else {
             self.out_of_order += 1;
+            io.flight_event(FlightKind::CodecReject, frame.len() as u64);
             // Re-ack the last in-order packet so the sender advances.
             if self.expected > 0 {
                 send_ack(io, self.path, self.expected - 1);

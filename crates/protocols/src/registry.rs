@@ -14,7 +14,9 @@
 //!
 //! The solo driver ([`SuiteDriver`]), the multiplexed driver
 //! ([`MultiSessionDriver`]) and the golden recorder
-//! ([`crate::golden::record`]) all build their sessions here.
+//! ([`crate::golden::record`]) all build their sessions here. The one
+//! campaign driver that does not is `netdsl-bench`'s `RelayDriver`:
+//! E9's relay paths are not a two-endpoint session.
 //!
 //! [`SuiteDriver`]: crate::scenario::SuiteDriver
 //! [`MultiSessionDriver`]: crate::multiplex::MultiSessionDriver

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use netdsl_adapt::PolicyRto;
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
+use netdsl_netsim::{FlightKind, LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
 use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowStats};
@@ -153,6 +153,7 @@ impl Endpoint for SrSender {
             return; // acknowledged in the meantime: stale timer
         };
         *retries += 1;
+        io.flight_event(FlightKind::ArqTimeout, token);
         self.rto.on_timeout();
         if *retries > self.max_retries {
             self.failed = true;
@@ -161,6 +162,7 @@ impl Endpoint for SrSender {
         // Karn: this packet's eventual ack is now ambiguous.
         self.send_times.remove(&seq);
         self.stats.retransmissions += 1;
+        io.flight_event(FlightKind::Retransmit, self.stats.retransmissions);
         self.transmit(seq, io);
     }
 
@@ -236,10 +238,14 @@ impl Endpoint for SrReceiver {
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
         let Ok(WindowFrame::Data { seq, payload }) = WindowFrame::decode_via(self.path, frame)
         else {
+            io.flight_event(FlightKind::CodecReject, frame.len() as u64);
             return;
         };
         if seq >= self.expected && seq < self.expected + self.window {
-            if seq != self.expected && !self.buffer.contains_key(&seq) {
+            if self.buffer.contains_key(&seq) {
+                // A duplicate of a buffered frame: re-acked, not taken.
+                io.flight_event(FlightKind::CodecReject, frame.len() as u64);
+            } else if seq != self.expected {
                 self.buffered_count += 1;
             }
             self.buffer.insert(seq, payload);
@@ -249,11 +255,14 @@ impl Endpoint for SrReceiver {
                 self.delivered.push(p);
                 self.expected += 1;
             }
-        } else if seq < self.expected {
-            // Already delivered: the ack must have been lost; re-ack.
-            send_ack(io, self.path, seq);
+        } else {
+            io.flight_event(FlightKind::CodecReject, frame.len() as u64);
+            if seq < self.expected {
+                // Already delivered: the ack must have been lost; re-ack.
+                send_ack(io, self.path, seq);
+            }
+            // Beyond the window: drop (sender cannot legally be there).
         }
-        // Beyond the window: drop silently (sender cannot legally be there).
     }
 
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}

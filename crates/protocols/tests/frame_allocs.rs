@@ -1,75 +1,26 @@
 //! Allocation ceilings for one warm frame encode or decode of the two
-//! suite wire formats (ARQ and sliding-window), on both frame paths, and
-//! for one warm whole-session run of two corpus fixtures.
+//! suite wire formats (ARQ and sliding-window), on both frame paths.
+//! Whole-session allocations are pinned per golden fixture and engine
+//! combination by the workspace's `tests/work_counts.rs`.
 //!
 //! Allocation counts are exact and do not depend on the machine, so
 //! these ceilings catch a regression that timing would blur: rebuilding
 //! a `PacketSpec` on every frame, for instance, costs the interpretive
 //! walker a couple of dozen allocations. A counting `#[global_allocator]`
 //! wraps the system allocator; each probe makes one warm-up call (spec
-//! and codec caches, the thread-local decode view, the simulator core
-//! pool), then counts the allocations of the next call.
+//! and codec caches, the thread-local decode view), then counts the
+//! allocations of the next call.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
-use netdsl_netsim::scenario::{FramePath, ScenarioDriver};
+use netdsl_netsim::scenario::FramePath;
 use netdsl_protocols::arq::ArqFrame;
-use netdsl_protocols::golden::corpus;
-use netdsl_protocols::scenario::SuiteDriver;
 use netdsl_protocols::window::WindowFrame;
 
-/// System allocator wrapper that counts every allocation entry point
-/// (alloc, alloc_zeroed, realloc) made by the current thread.
-/// Deallocations are not counted. The count is per thread because the
-/// test harness allocates on its own threads (reporting a finished test,
-/// spawning the next) while a probe runs; everything a probe measures
-/// runs on the probing thread.
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread being torn down may still free and allocate.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged;
-// the only addition is a thread-local counter, which allocates nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `GlobalAlloc` contract is passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `GlobalAlloc` contract is passed on unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from this allocator, which is `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, which is `System`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// Allocations made by the second of two calls of `op`.
 fn warm_allocs(mut op: impl FnMut()) -> u64 {
@@ -141,27 +92,6 @@ fn probe(path: FramePath) -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// Counts one warm `SuiteDriver::run` of each whole-session fixture on
-/// `path`.
-fn probe_sessions(path: FramePath) -> Vec<(&'static str, u64)> {
-    let fixtures = corpus();
-    ["sw-loss", "gbn-loss"]
-        .into_iter()
-        .map(|name| {
-            let mut scenario = fixtures
-                .iter()
-                .find(|s| s.name == name)
-                .expect("corpus names are stable")
-                .clone();
-            scenario.protocol = scenario.protocol.with_frame_path(path);
-            let allocs = warm_allocs(|| {
-                black_box(SuiteDriver.run(&scenario).expect("fixture runs"));
-            });
-            (name, allocs)
-        })
-        .collect()
-}
-
 /// Fails with the whole measured table if any probe exceeds its ceiling.
 fn assert_within(path: FramePath, measured: Vec<(&str, u64)>, ceilings: &[(&str, u64)]) {
     let names: Vec<_> = measured.iter().map(|(name, _)| *name).collect();
@@ -211,19 +141,5 @@ fn compiled_frames_stay_within_their_allocation_ceilings() {
             ("window decode_via data", 1),
             ("window decode_via ack", 0),
         ],
-    );
-}
-
-#[test]
-fn whole_sessions_stay_within_their_allocation_ceilings() {
-    assert_within(
-        FramePath::Interpreted,
-        probe_sessions(FramePath::Interpreted),
-        &[("sw-loss", 553), ("gbn-loss", 441)],
-    );
-    assert_within(
-        FramePath::Compiled,
-        probe_sessions(FramePath::Compiled),
-        &[("sw-loss", 60), ("gbn-loss", 47)],
     );
 }

@@ -109,7 +109,7 @@ impl ChecksumEngine {
     /// leaves every result bit-identical — residue arithmetic commutes
     /// with deferred folding); the CRCs run table-driven. Checksumming
     /// is the single largest per-frame cost in a protocol simulation,
-    /// so this loop is what campaign throughput (E11/E13) mostly buys.
+    /// so this loop is what campaign throughput (E13) mostly buys.
     pub fn update(&mut self, data: &[u8]) {
         match self.kind {
             ChecksumKind::Arq => {
@@ -425,7 +425,7 @@ pub fn adler32(data: &[u8]) -> u32 {
 /// running state folds into the first two bytes and the rest index
 /// independent tables (classic slicing-by-N). CRC-16 runs over every
 /// sliding-window frame, so this loop is a first-order term in campaign
-/// throughput (E11/E13); the bitwise reference
+/// throughput (E13); the bitwise reference
 /// ([`crc16_ccitt_bitwise`]) is kept and proptest-pinned equal.
 fn crc16_tables() -> &'static [[u16; 256]; 8] {
     static TABLES: std::sync::OnceLock<[[u16; 256]; 8]> = std::sync::OnceLock::new();

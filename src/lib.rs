@@ -54,8 +54,8 @@ pub use netdsl_adapt as adapt;
 
 /// Experiment machinery: the benchmark-report schema every harness
 /// emits ([`bench::report`]), the campaign builders behind the
-/// E-harnesses ([`bench::harnesses`]), and the drivers composing
-/// `protocols` × `adapt`. The artifact format and CI gating are
+/// E-harnesses ([`bench::harnesses`]), and the trust-relay driver
+/// behind E9. The artifact format and CI gating are
 /// documented in `docs/BENCHMARKS.md`.
 ///
 /// ```
