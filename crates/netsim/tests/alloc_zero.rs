@@ -7,38 +7,49 @@
 //! counter untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use netdsl_netsim::{EventRef, LinkConfig, ObsConfig, Simulator};
 
-/// The allocation counter is process-global, so the tests in this
-/// binary must not run concurrently — the default parallel harness
-/// would let the owned-buffer test's allocations land inside the
-/// zero-allocation measurement window. Each test holds this lock for
-/// its whole body.
+/// The metric switch and registry are process-global, so the tests in
+/// this binary must not run concurrently: the metrics test turning the
+/// switch on would make another test's simulator register metrics (a
+/// registry push) inside its zero-allocation measurement window. Each
+/// test holds this lock for its whole body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// System allocator wrapper that counts every allocation entry point
-/// (alloc, alloc_zeroed, realloc). Deallocations are not counted — the
-/// property under test is "no new memory", not "no frees".
+/// (alloc, alloc_zeroed, realloc) made by the current thread.
+/// Deallocations are not counted — the property under test is "no new
+/// memory", not "no frees". The count is per thread because the test
+/// harness allocates on its own threads (spawning a test, reporting a
+/// finished one) while a measurement runs; the simulator runs entirely
+/// on the measuring thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,8 +61,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations the current thread has made so far.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Pumps `frames` frames (with per-frame retransmission timers, like a
