@@ -47,8 +47,7 @@ const ADAPTIVE: RetransmitPolicy = RetransmitPolicy::AdaptiveRto {
 };
 
 /// The fault-plan grid: one family per fault kind the engine supports.
-/// Crash lands on the receiver and the restart is spaced well apart, so
-/// solo and mux drivers cross the two boundaries on separate events.
+/// Crash lands on the receiver and the restart is spaced well apart.
 fn fault_plans() -> Vec<(&'static str, Vec<Fault>)> {
     vec![
         ("none", vec![]),

@@ -837,9 +837,9 @@ impl FaultWorld {
 }
 
 /// Applies one primitive fault to the simulator — the **single**
-/// application path shared by the standalone pump, the stepped session
-/// pump and the multiplexed batch pump, which is what pins solo ≡
-/// multiplexed fault behaviour. Emits a `fault.injected` count and a
+/// application path every driver shares, solo or multiplexed, which is
+/// what pins solo ≡ multiplexed fault behaviour. Emits a
+/// `fault.injected` count and a
 /// [`FlightKind::Fault`](netdsl_obs::FlightKind) event per simulator
 /// mutation.
 ///
@@ -1016,7 +1016,11 @@ impl Scenario {
 pub struct ScenarioResult {
     /// Did the whole workload complete correctly?
     pub success: bool,
-    /// Virtual time consumed.
+    /// Virtual time consumed. The protocol suite's drivers, solo or
+    /// multiplexed, report the tick of the last event dispatched to the
+    /// session's endpoints: events the engine popped without dispatching
+    /// them (frames killed by a crash, cancelled timers, other sessions'
+    /// events) do not count.
     pub elapsed: Tick,
     /// Messages offered by the traffic pattern.
     pub messages_offered: u64,

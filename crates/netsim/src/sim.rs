@@ -21,8 +21,8 @@
 //! One simulator can also host many **multiplexed sessions**
 //! ([`SessionId`]): each session owns its RNG stream, nodes, and links
 //! (struct-of-arrays state plus a per-session connection table), while
-//! all sessions share the wheel, the arena, and virtual time. Batch
-//! pumps drain whole ticks at once with [`Simulator::drain_tick`]; see
+//! all sessions share the wheel, the arena, and virtual time. Every
+//! pump pops them one event at a time with [`Simulator::step_ref`]; see
 //! `docs/SESSIONS.md` for the parity argument.
 
 use std::cell::RefCell;
@@ -704,14 +704,9 @@ impl Simulator {
     }
 
     /// Removes one pending lazy cancellation for `(node, token)` and
-    /// reports whether one existed. Batch pumps call this at dispatch
-    /// time: a handler earlier in the same tick batch may have
-    /// cancelled a timer that [`Simulator::drain_tick`] had already
-    /// popped, and in a standalone run that cancellation would have
-    /// landed before the timer's pop — so consuming it here (and
-    /// dropping the timer event) exactly restores the lazy-cancel
-    /// semantics of [`Simulator::step_ref`].
-    pub fn consume_cancellation(&mut self, node: NodeId, token: TimerToken) -> bool {
+    /// reports whether one existed: the pop-time check that skips a
+    /// cancelled timer.
+    fn consume_cancellation(&mut self, node: NodeId, token: TimerToken) -> bool {
         let Some(list) = self.node_cancels.get_mut(node.index()) else {
             return false;
         };
@@ -723,8 +718,8 @@ impl Simulator {
         }
     }
 
-    /// Shared delivery bookkeeping of [`Simulator::step_ref`] and
-    /// [`Simulator::drain_tick`]: link counters and the tap.
+    /// Delivery bookkeeping of [`Simulator::step_ref`]: link counters
+    /// and the tap.
     fn note_frame_delivery(&mut self, link: LinkId, payload: &PayloadRef) {
         let len = self.arena.get(payload).len();
         self.links[link.0].stats.delivered += 1;
@@ -734,20 +729,6 @@ impl Simulator {
             len as u64,
             Some(payload),
         );
-    }
-
-    /// Retracts one delivery from a link's counters. Batch pumps call
-    /// this for frames [`Simulator::drain_tick`] popped whose session
-    /// had already stopped earlier in the same tick (done, or past its
-    /// deadline): a standalone run would never have popped them, so the
-    /// retraction keeps per-session [`LinkStats`] identical to
-    /// standalone. The tap's `Deliver` event is not retracted:
-    /// telemetry (counters, flight ring, golden log) records what the
-    /// shared engine actually popped.
-    pub fn skip_delivery(&mut self, link: LinkId) {
-        let stats = &mut self.links[link.0].stats;
-        debug_assert!(stats.delivered > 0, "no delivery to retract");
-        stats.delivered -= 1;
     }
 
     // ------------------------------------------------------------------
@@ -782,11 +763,8 @@ impl Simulator {
         }
     }
 
-    /// Whether `node` is currently crashed. Batch pumps check this when
-    /// a fault applied mid-batch leaves already-drained events for a
-    /// downed node in the caller's hands (see
-    /// [`Simulator::drop_delivery`]).
-    pub fn node_is_down(&self, node: NodeId) -> bool {
+    /// Whether `node` is currently crashed.
+    fn node_is_down(&self, node: NodeId) -> bool {
         self.node_down.get(node.index()).copied().unwrap_or(false)
     }
 
@@ -817,25 +795,10 @@ impl Simulator {
         self.tap(FlightKind::Fault, subject, detail, None);
     }
 
-    /// A frame the caller drained but whose destination node crashed
-    /// mid-batch: retracts the delivery from the link counters and
-    /// records the frame as lost, exactly as the pop-time dead check
-    /// would have. As with [`Simulator::skip_delivery`], the tap's
-    /// `Deliver` event stands: telemetry records what the shared engine
-    /// popped, followed here by the `Drop`.
-    /// The batched pump calls this for same-tick frames a standalone
-    /// [`Simulator::step_ref`] run would have killed at pop time.
-    pub fn drop_delivery(&mut self, link: LinkId, payload: PayloadRef) {
-        self.skip_delivery(link);
-        self.note_crash_drop(link, payload);
-    }
-
     /// Whether a popped event belongs to a crashed node or predates its
     /// crash watermark. Only consulted when `self.faulted` is set.
     fn event_is_dead(&self, node: NodeId, seq: u64) -> bool {
-        let ix = node.index();
-        self.node_down.get(ix).copied().unwrap_or(false)
-            || seq < self.crash_floor.get(ix).copied().unwrap_or(0)
+        self.node_is_down(node) || seq < self.crash_floor.get(node.index()).copied().unwrap_or(0)
     }
 
     /// Loss bookkeeping for a frame killed by a node crash — mirrors
@@ -894,67 +857,6 @@ impl Simulator {
             }
         }
         None
-    }
-
-    /// Pops **every** event of the next occupied tick into `out` (which
-    /// is cleared first) and returns that tick, or `None` when the
-    /// simulation has quiesced. This is the batched delivery path of
-    /// the multiplexed driver: one drain serves all sessions with
-    /// events due at that tick, in global `(at, seq)` order — the exact
-    /// order a [`Simulator::step_ref`] loop would have produced —
-    /// without touching the queue once per event consumer.
-    ///
-    /// Already-cancelled timers are consumed and skipped exactly as in
-    /// `step_ref`; cancellations issued *while dispatching* the batch
-    /// are the caller's to honour via
-    /// [`Simulator::consume_cancellation`]. Virtual time lands on the
-    /// returned tick and never moves past it.
-    pub fn drain_tick(&mut self, out: &mut Vec<EventRef>) -> Option<Tick> {
-        out.clear();
-        let mut tick: Option<Tick> = None;
-        let mut timers: u64 = 0;
-        loop {
-            match (self.queue.peek_at(), tick) {
-                (None, _) => break,
-                (Some(at), Some(t)) if at > t => break,
-                _ => {}
-            }
-            let (at, seq, what) = self.queue.pop().expect("peeked entry pops");
-            debug_assert!(at >= self.time, "time never runs backwards");
-            self.time = at;
-            match what {
-                Pending::Frame { link, to, payload } => {
-                    if self.faulted && self.event_is_dead(to, seq) {
-                        self.note_crash_drop(link, payload);
-                        continue;
-                    }
-                    self.note_frame_delivery(link, &payload);
-                    out.push(EventRef::Frame {
-                        node: to,
-                        link,
-                        payload,
-                    });
-                    tick = Some(at);
-                }
-                Pending::Timer { node, token } => {
-                    if self.consume_cancellation(node, token) {
-                        continue;
-                    }
-                    if self.faulted && self.event_is_dead(node, seq) {
-                        continue;
-                    }
-                    self.tap(FlightKind::TimerFire, node.index() as u64, token, None);
-                    out.push(EventRef::Timer { node, token });
-                    timers += 1;
-                    tick = Some(at);
-                }
-            }
-        }
-        if tick.is_some() {
-            let frames = out.len() as u64 - timers;
-            self.tap(FlightKind::DrainBatch, frames, timers, None);
-        }
-        tick
     }
 
     /// Advances to the next event and returns it with an owned payload,
@@ -1400,29 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_tick_records_one_batch_summary_event() {
-        let mut sim = Simulator::new(5);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(4));
-        sim.set_obs(ObsConfig::off().with_flight());
-        sim.send(ab, vec![1]);
-        sim.send(ab, vec![2]);
-        sim.set_timer(a, 4, 9);
-        let mut batch = Vec::new();
-        assert_eq!(sim.drain_tick(&mut batch), Some(4));
-        for ev in batch.drain(..) {
-            if let EventRef::Frame { payload, .. } = ev {
-                sim.release_payload(payload);
-            }
-        }
-        let rec = sim.take_flight().unwrap();
-        let last = rec.events.last().unwrap();
-        assert_eq!(last.kind, FlightKind::DrainBatch);
-        assert_eq!((last.subject, last.detail), (2, 1), "2 frames + 1 timer");
-    }
-
-    #[test]
     fn observability_does_not_change_the_transcript() {
         let run = |obs: ObsConfig| {
             let mut sim = Simulator::new(42);
@@ -1524,94 +1403,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_tick_pops_whole_ticks_in_step_order() {
-        // Replay the same schedule through step_ref and drain_tick: the
-        // batched path must produce the same events in the same order,
-        // grouped by tick, and leave time on the drained tick.
-        let build = || {
-            let mut sim = Simulator::new(5);
-            let a = sim.add_node();
-            let b = sim.add_node();
-            let ab = sim.add_link(a, b, LinkConfig::reliable(4));
-            sim.send(ab, vec![1]);
-            sim.send(ab, vec![2]);
-            sim.set_timer(a, 4, 9);
-            sim.set_timer(b, 6, 8);
-            sim
-        };
-        let mut reference = build();
-        let mut expected = Vec::new();
-        while let Some(ev) = reference.step_ref() {
-            expected.push((reference.now(), describe(&reference, ev)));
-        }
-
-        let mut sim = build();
-        let mut batch = Vec::new();
-        let mut got = Vec::new();
-        let mut ticks = Vec::new();
-        while let Some(tick) = sim.drain_tick(&mut batch) {
-            assert_eq!(sim.now(), tick, "time lands on the drained tick");
-            ticks.push(tick);
-            for ev in batch.drain(..) {
-                got.push((tick, describe(&sim, ev)));
-            }
-        }
-        assert_eq!(got, expected);
-        assert_eq!(ticks, vec![4, 6], "one drain per occupied tick");
-        assert!(sim.is_quiescent());
-        assert!(sim.drain_tick(&mut batch).is_none());
-    }
-
-    /// Renders an event as a comparable tuple, consuming any payload.
-    fn describe(sim: &Simulator, ev: EventRef) -> (usize, Vec<u8>) {
-        match ev {
-            EventRef::Frame { payload, .. } => (0, sim.payload(&payload).to_vec()),
-            EventRef::Timer { token, .. } => (1, vec![token as u8]),
-        }
-    }
-
-    #[test]
-    fn drain_tick_skips_cancelled_timers_across_tick_boundaries() {
-        let mut sim = Simulator::new(0);
-        let n = sim.add_node();
-        sim.set_timer(n, 5, 1);
-        sim.set_timer(n, 5, 2);
-        sim.set_timer(n, 9, 3);
-        sim.cancel_timer(n, 1);
-        sim.cancel_timer(n, 3);
-        let mut batch = Vec::new();
-        assert_eq!(sim.drain_tick(&mut batch), Some(5));
-        assert_eq!(batch.len(), 1, "cancelled timer skipped inside the tick");
-        assert!(matches!(batch[0], EventRef::Timer { token: 2, .. }));
-        assert_eq!(
-            sim.drain_tick(&mut batch),
-            None,
-            "a fully-cancelled tick never surfaces"
-        );
-        assert!(batch.is_empty());
-    }
-
-    #[test]
     fn consume_cancellation_removes_exactly_one_entry() {
         let mut sim = Simulator::new(0);
         let n = sim.add_node();
         sim.cancel_timer(n, 7);
         assert!(sim.consume_cancellation(n, 7));
         assert!(!sim.consume_cancellation(n, 7), "entry was consumed");
-    }
-
-    #[test]
-    fn skip_delivery_retracts_one_delivered_count() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(1));
-        sim.send(ab, vec![1]);
-        sim.step();
-        assert_eq!(sim.link_stats(ab).delivered, 1);
-        sim.skip_delivery(ab);
-        assert_eq!(sim.link_stats(ab).delivered, 0);
-        assert_eq!(sim.link_stats(ab).sent, 1, "only delivery is retracted");
     }
 
     #[test]
@@ -1762,42 +1559,6 @@ mod tests {
         while let Some(Event::Timer { token, .. }) = sim.step() {
             assert_eq!((sim.now(), token), (225, 4), "(1, 1) removes the skew");
         }
-    }
-
-    #[test]
-    fn drain_tick_kills_dead_events_like_step_ref() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(4));
-        sim.send(ab, vec![1]);
-        sim.set_timer(b, 4, 7);
-        sim.set_timer(a, 4, 8);
-        sim.crash_node(b);
-        let mut batch = Vec::new();
-        assert_eq!(sim.drain_tick(&mut batch), Some(4));
-        assert_eq!(batch.len(), 1, "only A's timer survives the crash");
-        assert!(matches!(batch[0], EventRef::Timer { token: 8, .. }));
-        assert_eq!(sim.link_stats(ab).lost, 1);
-    }
-
-    #[test]
-    fn drop_delivery_retracts_and_records_loss() {
-        // The batched pump's mid-batch crash path: the frame was
-        // already counted delivered by drain_tick, then the crash
-        // applied while dispatching the same batch.
-        let mut sim = Simulator::new(0);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(2));
-        sim.send(ab, vec![1]);
-        let Some(EventRef::Frame { payload, link, .. }) = sim.step_ref() else {
-            panic!("expected a frame");
-        };
-        sim.crash_node(b);
-        sim.drop_delivery(link, payload);
-        let stats = sim.link_stats(ab);
-        assert_eq!((stats.delivered, stats.lost), (0, 1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The event tap: one call per engine hook site, three sinks.
 //!
-//! Every frame, timer, fault and drain-batch hook site in
+//! Every frame, timer and fault hook site in
 //! [`Simulator`](crate::Simulator) — and every protocol-level event an
 //! endpoint reports through
 //! [`Simulator::flight_protocol_event`](crate::Simulator::flight_protocol_event)
@@ -40,11 +40,10 @@ static ARQ_FRAMES_REJECTED: Counter = Counter::new("arq.frames_rejected");
 static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
 static FRAME_BYTES: Histogram = Histogram::new("sim.frame_bytes");
 
-/// The metrics sink's table: the counter each event kind bumps, or
-/// `None` for kinds that only the recorders see (`DrainBatch`).
+/// The metrics sink's table: the counter each event kind bumps.
 #[inline]
-pub fn counter(kind: FlightKind) -> Option<&'static Counter> {
-    Some(match kind {
+pub fn counter(kind: FlightKind) -> &'static Counter {
+    match kind {
         FlightKind::Send => &FRAMES_SENT,
         FlightKind::Deliver => &FRAMES_DELIVERED,
         FlightKind::Drop => &FRAMES_DROPPED,
@@ -56,8 +55,7 @@ pub fn counter(kind: FlightKind) -> Option<&'static Counter> {
         FlightKind::Retransmit => &ARQ_RETRANSMISSIONS,
         FlightKind::CodecReject => &ARQ_FRAMES_REJECTED,
         FlightKind::Fault => &FAULTS_INJECTED,
-        FlightKind::DrainBatch => return None,
-    })
+    }
 }
 
 /// The metrics sink: bumps the kind's counter and, on `Send`, observes
@@ -65,9 +63,7 @@ pub fn counter(kind: FlightKind) -> Option<&'static Counter> {
 /// disabled.
 #[inline]
 pub(crate) fn count(kind: FlightKind, detail: u64) {
-    if let Some(c) = counter(kind) {
-        c.incr();
-    }
+    counter(kind).incr();
     if kind == FlightKind::Send {
         FRAME_BYTES.observe(detail);
     }

@@ -59,9 +59,6 @@ pub enum FlightKind {
     /// or it was a duplicate, out of order, outside the receive window,
     /// or an ack (`subject` = node, `detail` = frame bytes).
     CodecReject,
-    /// One tick's batch of due events was drained in the multiplexed
-    /// pump (`subject` = frames, `detail` = timers in the batch).
-    DrainBatch,
     /// A scheduled fault was applied to the world (`subject` = node or
     /// link index, `detail` = fault-action discriminant: 1 link
     /// reconfiguration, 2 crash, 3 restart, 4 clock skew).
@@ -82,13 +79,12 @@ impl FlightKind {
             FlightKind::ArqTimeout => "arq_timeout",
             FlightKind::Retransmit => "retransmit",
             FlightKind::CodecReject => "codec_reject",
-            FlightKind::DrainBatch => "drain_batch",
             FlightKind::Fault => "fault",
         }
     }
 
     /// Every kind, in serialization order (for report tables).
-    pub const ALL: [FlightKind; 12] = [
+    pub const ALL: [FlightKind; 11] = [
         FlightKind::Send,
         FlightKind::Deliver,
         FlightKind::Drop,
@@ -99,7 +95,6 @@ impl FlightKind {
         FlightKind::ArqTimeout,
         FlightKind::Retransmit,
         FlightKind::CodecReject,
-        FlightKind::DrainBatch,
         FlightKind::Fault,
     ];
 
@@ -413,6 +408,6 @@ mod tests {
         assert_eq!(counts.len(), FlightKind::ALL.len());
         assert!(counts.contains(&(FlightKind::Send, 2)));
         assert!(counts.contains(&(FlightKind::CodecReject, 1)));
-        assert!(counts.contains(&(FlightKind::DrainBatch, 0)));
+        assert!(counts.contains(&(FlightKind::Fault, 0)));
     }
 }

@@ -18,7 +18,7 @@
 //!   canonical JSON via the serde shim.
 //! * [`flight`] — a bounded, preallocated ring of tick-stamped
 //!   [`FlightEvent`]s (sends, deliveries, drops, timer traffic, ARQ
-//!   timeouts/retransmits, codec rejects, drain batches). Recording is
+//!   timeouts/retransmits, codec rejects, faults). Recording is
 //!   allocation-free; when no recorder is installed the hot path pays a
 //!   single branch. Enabled per scenario through [`ObsConfig`] on
 //!   `netdsl_netsim::scenario::EngineConfig`.

@@ -7,13 +7,15 @@
 //! simulation — the standard harness for every pairwise protocol in this
 //! crate.
 //!
-//! This module also holds the crate's **one** single-session pump: an
-//! event-at-a-time loop over [`Simulator::step_ref`] that hands each
-//! event to a [`Dispatch`] session and applies every fault boundary the
-//! event crossed. [`Duplex::run`], [`drive_duplex`], the
-//! [`SuiteDriver`] and the golden recorder all run on it; the batched
-//! multiplexer ([`crate::multiplex`]) shares its dispatch step, its
-//! fault-boundary step and its result fold.
+//! This module also holds the crate's **one** session pump,
+//! `run_sessions`: an event-at-a-time loop over
+//! [`Simulator::step_ref`] that hands each event to the [`Dispatch`]
+//! session owning its node and applies every fault boundary the event
+//! crossed. The batched multiplexer ([`crate::multiplex`]) runs it over
+//! one slot per session; [`Duplex::run`], [`drive_duplex`], the
+//! [`SuiteDriver`] and the golden recorder run it over one slot. A
+//! session's `elapsed` is the tick of the last event dispatched to it,
+//! whichever driver ran it.
 //!
 //! [`drive_duplex`]: crate::scenario::drive_duplex
 //! [`SuiteDriver`]: crate::scenario::SuiteDriver
@@ -186,7 +188,9 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     }
 
     /// Runs until both endpoints report done, the simulation quiesces, or
-    /// `deadline` ticks elapse. Returns the tick at which pumping stopped.
+    /// an event past `deadline` has been dispatched. Returns the tick of
+    /// the last event dispatched to either endpoint (the simulator's
+    /// time on entry if none was).
     pub fn run(&mut self, deadline: Tick) -> Tick {
         start(&mut self.sim, &self.world, &mut self.ends);
         self.resume(deadline)
@@ -194,15 +198,23 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
 
     /// Continues pumping without re-running `start` (for staged runs
     /// around a mid-session reconfiguration). Semantics otherwise match
-    /// [`Duplex::run`].
+    /// [`Duplex::run`], including the returned tick.
     pub fn resume(&mut self, deadline: Tick) -> Tick {
-        pump(&mut self.sim, &self.world, &mut self.ends, &[], deadline)
+        let mut slot = [Slot::new(
+            &self.sim,
+            self.world,
+            &mut self.ends,
+            Vec::new(),
+            deadline,
+        )];
+        run_sessions(&mut self.sim, &mut slot);
+        slot[0].now
     }
 
     /// Runs `scenario` on this (freshly built) world — see
     /// [`run_scenario`].
-    pub(crate) fn run_scenario(&mut self, scenario: &Scenario) -> Tick {
-        run_scenario(scenario, &mut self.sim, &self.world, &mut self.ends)
+    pub(crate) fn run_scenario(&mut self, scenario: &Scenario) -> (Tick, LinkStats) {
+        run_scenario(scenario, &mut self.sim, self.world, &mut self.ends)
     }
 
     /// The left endpoint.
@@ -279,7 +291,7 @@ fn io<'a>(sim: &'a mut Simulator, world: &FaultWorld, side: FaultNode) -> Io<'a>
 }
 
 /// Starts both endpoints, A first — before any event is popped.
-pub(crate) fn start<D: Dispatch + ?Sized>(sim: &mut Simulator, world: &FaultWorld, d: &mut D) {
+fn start<D: Dispatch + ?Sized>(sim: &mut Simulator, world: &FaultWorld, d: &mut D) {
     d.start(FaultNode::A, &mut io(sim, world, FaultNode::A));
     d.start(FaultNode::B, &mut io(sim, world, FaultNode::B));
 }
@@ -288,7 +300,7 @@ pub(crate) fn start<D: Dispatch + ?Sized>(sim: &mut Simulator, world: &FaultWorl
 /// payload buffer is detached from the arena (a move, not a copy), lent
 /// to the endpoint, and recycled afterwards — zero allocation in steady
 /// state.
-pub(crate) fn dispatch<D: Dispatch + ?Sized>(
+fn dispatch<D: Dispatch + ?Sized>(
     sim: &mut Simulator,
     world: &FaultWorld,
     d: &mut D,
@@ -315,83 +327,173 @@ pub(crate) fn dispatch<D: Dispatch + ?Sized>(
     }
 }
 
-/// Applies every fault whose boundary the last dispatched event crossed
-/// — strictly `at < now`: a fault lands after the first event *past*
-/// its tick, which is deterministic and indistinguishable from it
-/// landing a tick later. A restart re-launches the endpoint from
-/// scratch ([`Dispatch::reset`] then [`Dispatch::start`]). `next` is the
-/// index of the first fault still pending.
-pub(crate) fn apply_faults<D: Dispatch + ?Sized>(
-    sim: &mut Simulator,
-    world: &FaultWorld,
-    d: &mut D,
-    faults: &[PlannedFault],
-    next: &mut usize,
-) {
-    while let Some(fault) = faults.get(*next) {
-        if fault.at >= sim.now() {
-            break;
+/// One session's pump state inside [`run_sessions`]: its world and
+/// endpoints, its planned faults and the next one still pending, its
+/// deadline, its clock, and whether it has closed.
+pub(crate) struct Slot<'d, D: ?Sized> {
+    pub(crate) world: FaultWorld,
+    pub(crate) dispatch: &'d mut D,
+    faults: Vec<PlannedFault>,
+    next_fault: usize,
+    deadline: Tick,
+    /// The session's clock: the tick of the last event dispatched to
+    /// it, or the simulator's time when the slot was built if none has
+    /// been. This is the session's `elapsed`.
+    pub(crate) now: Tick,
+    closed: bool,
+    /// The session's link counters, taken when it closed. Events of a
+    /// closed session still popped by the shared engine cannot move
+    /// them.
+    pub(crate) link: LinkStats,
+}
+
+impl<'d, D: Dispatch + ?Sized> Slot<'d, D> {
+    /// A slot for endpoints that are already started. It is closed from
+    /// the outset when both endpoints are done or the clock is already
+    /// past `deadline`.
+    pub(crate) fn new(
+        sim: &Simulator,
+        world: FaultWorld,
+        dispatch: &'d mut D,
+        faults: Vec<PlannedFault>,
+        deadline: Tick,
+    ) -> Self {
+        let now = sim.now();
+        let mut slot = Slot {
+            world,
+            dispatch,
+            faults,
+            next_fault: 0,
+            deadline,
+            now,
+            closed: false,
+            link: LinkStats::default(),
+        };
+        if slot.dispatch.done() || now > deadline {
+            slot.close(sim);
         }
-        if let Some(side) = apply_fault(sim, world, fault) {
-            d.reset(side);
-            d.start(side, &mut io(sim, world, side));
+        slot
+    }
+
+    /// Starts both endpoints of `scenario`'s session on `world`, A
+    /// first, and returns its slot.
+    pub(crate) fn start(
+        sim: &mut Simulator,
+        scenario: &Scenario,
+        world: FaultWorld,
+        dispatch: &'d mut D,
+    ) -> Self {
+        start(sim, &world, dispatch);
+        Slot::new(
+            sim,
+            world,
+            dispatch,
+            planned_faults(scenario),
+            scenario.deadline,
+        )
+    }
+
+    /// Bookkeeping after an event was dispatched to this session:
+    /// advances the clock, applies every fault whose boundary the event
+    /// crossed, and closes the session once both endpoints are done or
+    /// the event landed past the deadline. Returns whether it closed.
+    ///
+    /// A fault lands strictly after its tick (`at < now`): after the
+    /// first event *past* it, which is deterministic and
+    /// indistinguishable from the fault landing a tick later. A restart
+    /// re-launches the endpoint from scratch ([`Dispatch::reset`] then
+    /// [`Dispatch::start`]).
+    fn settle(&mut self, sim: &mut Simulator) -> bool {
+        self.now = sim.now();
+        while let Some(fault) = self.faults.get(self.next_fault) {
+            if fault.at >= self.now {
+                break;
+            }
+            if let Some(side) = apply_fault(sim, &self.world, fault) {
+                self.dispatch.reset(side);
+                self.dispatch.start(side, &mut io(sim, &self.world, side));
+            }
+            self.next_fault += 1;
         }
-        *next += 1;
+        if self.dispatch.done() || self.now > self.deadline {
+            self.close(sim);
+        }
+        self.closed
+    }
+
+    /// Closes the session and takes its link counters.
+    fn close(&mut self, sim: &Simulator) {
+        self.closed = true;
+        self.link = sim
+            .link_stats(self.world.link_ab)
+            .merge(*sim.link_stats(self.world.link_ba));
     }
 }
 
-/// The single-session pump: pops one event at a time, dispatches it,
-/// and applies the fault boundaries it crossed, until both endpoints
-/// are done, the event queue drains, or an event lands past `deadline`
-/// (exactly one event past the boundary is dispatched). Returns the
-/// tick at which pumping stopped.
+/// The one session pump. Pops one event at a time with
+/// [`Simulator::step_ref`], dispatches it to the session that owns its
+/// node and settles that session, until every session has closed or
+/// the event queue drains. A session closes once both its endpoints
+/// are done or an event past its deadline was dispatched to it (exactly
+/// one such event is). Every driver runs on this loop: the batched
+/// multiplexer with one slot per session, everything else with one.
 ///
-/// A fault scheduled after the session's last event never lands: when
-/// the pump stops without an event crossing a fault's boundary, that
-/// fault and every later one are discarded — the same rule the
-/// multiplexed driver applies when it closes a finished session with
-/// faults still pending.
-pub(crate) fn pump<D: Dispatch + ?Sized>(
-    sim: &mut Simulator,
-    world: &FaultWorld,
-    d: &mut D,
-    faults: &[PlannedFault],
-    deadline: Tick,
-) -> Tick {
-    let mut next = 0;
-    while !d.done() && sim.now() <= deadline {
+/// A session owns nodes `2k` and `2k + 1` of the simulator, where `k`
+/// is its index in `slots`: the nodes must be allocated densely, two
+/// per session, in slot order (as [`wire`] does).
+///
+/// An event for a closed session is one that a run of that session
+/// alone would never have popped: it is dropped undispatched, and the
+/// link counters the session closed with stand. Sessions still open
+/// when the queue drains close then. A fault scheduled after a
+/// session's last dispatched event never lands.
+pub(crate) fn run_sessions<D: Dispatch + ?Sized>(sim: &mut Simulator, slots: &mut [Slot<'_, D>]) {
+    let mut open = slots.iter().filter(|slot| !slot.closed).count();
+    while open > 0 {
         let Some(event) = sim.step_ref() else {
             break;
         };
-        dispatch(sim, world, d, event);
-        apply_faults(sim, world, d, faults, &mut next);
+        let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
+        let slot = &mut slots[node.index() / 2];
+        if slot.closed {
+            if let EventRef::Frame { payload, .. } = event {
+                sim.release_payload(payload);
+            }
+            continue;
+        }
+        dispatch(sim, &slot.world, slot.dispatch, event);
+        if slot.settle(sim) {
+            open -= 1;
+        }
     }
-    sim.now()
+    for slot in slots.iter_mut().filter(|slot| !slot.closed) {
+        slot.close(sim);
+    }
 }
 
 /// `scenario`'s expanded fault schedule, pre-filtered to `at <
 /// deadline` (a fault at or past the deadline can never influence a
 /// dispatched event).
-pub(crate) fn planned_faults(scenario: &Scenario) -> Vec<PlannedFault> {
+fn planned_faults(scenario: &Scenario) -> Vec<PlannedFault> {
     let mut faults = FaultPlan::from_scenario(scenario).actions;
     faults.retain(|f| f.at < scenario.deadline);
     faults
 }
 
-/// Runs one scenario's session on its freshly wired world: installs
-/// the scenario's telemetry, starts both endpoints and pumps through the
-/// fault schedule up to the deadline. Returns the tick at which pumping
-/// stopped.
+/// Runs one scenario's session alone on its freshly wired world:
+/// installs the scenario's telemetry, starts both endpoints and pumps
+/// one slot through the fault schedule up to the deadline. Returns the
+/// session's `elapsed` and link counters.
 pub(crate) fn run_scenario<D: Dispatch + ?Sized>(
     scenario: &Scenario,
     sim: &mut Simulator,
-    world: &FaultWorld,
+    world: FaultWorld,
     d: &mut D,
-) -> Tick {
+) -> (Tick, LinkStats) {
     sim.set_obs(scenario.protocol.obs);
-    let faults = planned_faults(scenario);
-    start(sim, world, d);
-    pump(sim, world, d, &faults, scenario.deadline)
+    let mut slot = [Slot::start(sim, scenario, world, d)];
+    run_sessions(sim, &mut slot);
+    (slot[0].now, slot[0].link)
 }
 
 /// Folds a finished session into the driver-independent result shape —

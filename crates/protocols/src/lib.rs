@@ -19,7 +19,7 @@
 //!   as the error-handling-LoC comparator (§1: "50% or more of the
 //!   code…"), behaviourally equivalent to [`arq`];
 //! * [`driver`] — the event-loop harness connecting endpoints to the
-//!   simulator, including the one single-session pump;
+//!   simulator, including the one session pump every driver runs;
 //! * [`registry`] — the one place that maps a protocol name to its
 //!   endpoints, refusals and observation probes;
 //! * [`scenario`] — the [`SuiteDriver`](scenario::SuiteDriver) that

@@ -8,84 +8,39 @@
 //! batch of scenarios as *sessions* of a single simulator: every session
 //! gets its own node pair, duplex links and seeded RNG stream (see
 //! [`Simulator::add_session`]), while the timer wheel, payload arena and
-//! event queue are shared. One [`Simulator::drain_tick`] then serves
-//! every session with events due at that tick.
+//! event queue are shared.
 //!
-//! This module also holds [`run_session_stepped`], the solo driver's
-//! and the golden recorder's runner: one session on its own simulator,
-//! pumped event-at-a-time. The two pumps share their sessions (built by
-//! the [`registry`]), their dispatch and fault-boundary steps, and their
-//! result fold.
+//! The batch runs on the crate's one session pump (in
+//! [`crate::driver`]) with one slot per session: the same
+//! event-at-a-time loop, dispatch step, fault-boundary step and result
+//! fold every other driver runs with one slot.
 //!
 //! **Parity is the contract.** Each session's transcript — frame bytes,
 //! timer firings, retransmission counts, elapsed ticks, link counters —
 //! is bit-identical to what a standalone [`SuiteDriver`] run of the same
 //! scenario produces. The per-session RNG streams make impairment draws
-//! independent of batch composition; global `(at, seq)` dispatch order
-//! preserves each session's relative event order; and two retraction
-//! hooks ([`Simulator::skip_delivery`],
-//! [`Simulator::consume_cancellation`]) undo the places where batched
-//! draining pops events a standalone pump would never have seen. They
-//! retract link counters only: the simulator's event tap (metrics,
-//! flight ring, golden log) records what the shared engine popped and
-//! is never retracted.
+//! independent of batch composition; global `(at, seq)` pop order
+//! preserves each session's relative event order; and an event for a
+//! session that has already closed — one a standalone run would never
+//! have popped — is dropped undispatched, while the session's result
+//! keeps the link counters it closed with. The simulator's event tap
+//! (metrics, flight ring, golden log) records what the shared engine
+//! popped, these events included.
 //! `tests/golden_parity.rs` replays the committed fixture corpus through
 //! this driver and compares every result with the solo run.
 //!
 //! [`SuiteDriver`]: crate::scenario::SuiteDriver
 
 use netdsl_netsim::campaign::BatchDriver;
-use netdsl_netsim::scenario::{FaultWorld, PlannedFault, Scenario, ScenarioError, ScenarioResult};
-use netdsl_netsim::{EventRef, ObsConfig, SessionId, Simulator, Tick};
+use netdsl_netsim::scenario::{Scenario, ScenarioError, ScenarioResult};
+use netdsl_netsim::{ObsConfig, Simulator};
 use netdsl_obs::{Counter, Gauge};
 
-use crate::driver::{
-    apply_faults, dispatch, duplex_world, fold, planned_faults, run_scenario, start, wire,
-};
-use crate::golden::Observed;
+use crate::driver::{run_sessions, wire, Slot};
 use crate::registry::{self, SessionEndpoints};
 
 static MUX_SESSIONS_RUN: Counter = Counter::new("mux.sessions_run");
 static MUX_OPEN_SESSIONS: Gauge = Gauge::new("mux.open_sessions");
-
-/// Per-session pump bookkeeping inside a batch.
-struct Slot {
-    /// The session's position in the batch.
-    index: usize,
-    pair: Box<dyn SessionEndpoints>,
-    world: FaultWorld,
-    deadline: Tick,
-    faults: Vec<PlannedFault>,
-    next_fault: usize,
-    /// The session's own clock: the tick of its last dispatched event —
-    /// exactly what a standalone run's `Simulator::now` would read.
-    now: Tick,
-    closed: bool,
-    session: SessionId,
-}
-
-impl Slot {
-    /// Post-dispatch bookkeeping, the multiplexed equivalent of one
-    /// step of the single-session pump: advance the session clock, apply
-    /// every fault boundary the event crossed, and close the session
-    /// once both endpoints are done or the event landed past the
-    /// deadline (standalone dispatches exactly one event past the
-    /// boundary before breaking).
-    fn settle(&mut self, sim: &mut Simulator, open: &mut usize) {
-        self.now = sim.now();
-        apply_faults(
-            sim,
-            &self.world,
-            &mut *self.pair,
-            &self.faults,
-            &mut self.next_fault,
-        );
-        if self.pair.done() || self.now > self.deadline {
-            self.closed = true;
-            *open -= 1;
-        }
-    }
-}
 
 /// [`BatchDriver`] that multiplexes a batch of duplex suite scenarios
 /// onto one shared simulator. Results come back in batch order,
@@ -119,7 +74,7 @@ impl BatchDriver for MultiSessionDriver {
             }
         }
         if !group.is_empty() {
-            run_group(group, batch, &mut results);
+            run_group(&mut group, batch, &mut results);
         }
         results
             .into_iter()
@@ -132,156 +87,50 @@ impl BatchDriver for MultiSessionDriver {
 /// sessions of a single simulator and writes each result into its
 /// original batch slot.
 fn run_group(
-    group: Vec<(usize, Box<dyn SessionEndpoints>)>,
+    group: &mut [(usize, Box<dyn SessionEndpoints>)],
     batch: &[Scenario],
     results: &mut [Option<Result<ScenarioResult, ScenarioError>>],
 ) {
+    // The simulator is shared, so it observes the union of what the
+    // member scenarios ask for (flight capacity takes the max). Metric
+    // updates outside this function self-gate, so the two batch-level
+    // instruments below are unconditional.
+    let obs = group.iter().fold(ObsConfig::off(), |acc, (index, _)| {
+        acc.union(batch[*index].protocol.obs)
+    });
     // World building: the first scenario seeds the constructor (its RNG
     // stream is session 0), every further scenario is an added session.
-    // Node ids are dense and allocated here in order, so a flat vector
-    // maps any event's node straight to its slot.
+    // Each session is wired and started in batch order, so session `k`
+    // owns nodes `2k` and `2k + 1` — the pump's node-to-slot map.
     let mut sim = Simulator::new(batch[group[0].0].seed);
-    let mut slots: Vec<Slot> = Vec::with_capacity(group.len());
-    let mut node_slot: Vec<usize> = Vec::with_capacity(group.len() * 2);
-    for (k, (index, pair)) in group.into_iter().enumerate() {
-        let scenario = &batch[index];
+    sim.set_obs(obs);
+    let mut indices = Vec::with_capacity(group.len());
+    let mut slots = Vec::with_capacity(group.len());
+    for (k, (index, pair)) in group.iter_mut().enumerate() {
+        let scenario = &batch[*index];
         let session = if k == 0 {
             sim.default_session()
         } else {
             sim.add_session(scenario.seed)
         };
         let world = wire(&mut sim, session, scenario.link.clone());
-        debug_assert_eq!(world.node_a.index(), node_slot.len());
-        node_slot.extend([k, k]);
-        slots.push(Slot {
-            index,
-            pair,
-            world,
-            deadline: scenario.deadline,
-            faults: planned_faults(scenario),
-            next_fault: 0,
-            now: 0,
-            closed: false,
-            session,
-        });
+        debug_assert_eq!(world.node_a.index(), 2 * k);
+        indices.push(*index);
+        slots.push(Slot::start(&mut sim, scenario, world, &mut **pair));
     }
-
-    // The simulator is shared, so it observes the union of what the
-    // member scenarios ask for (flight capacity takes the max). Metric
-    // updates outside this function self-gate, so the two batch-level
-    // instruments below are unconditional.
-    let obs = slots.iter().fold(ObsConfig::off(), |acc, slot| {
-        acc.union(batch[slot.index].protocol.obs)
-    });
-    sim.set_obs(obs);
     MUX_SESSIONS_RUN.add(slots.len() as u64);
+    MUX_OPEN_SESSIONS.add(slots.len() as i64);
+    run_sessions(&mut sim, &mut slots);
+    MUX_OPEN_SESSIONS.add(-(slots.len() as i64));
 
-    // Start phase: all starts happen at tick 0, before any event is
-    // popped — just as each standalone run starts its endpoints
-    // before pumping. Sessions that need no events (empty transfers)
-    // close immediately with elapsed 0.
-    let mut open = slots.len();
-    for slot in &mut slots {
-        start(&mut sim, &slot.world, &mut *slot.pair);
-        if slot.pair.done() {
-            slot.closed = true;
-            open -= 1;
-        }
-    }
-
-    // Batched pump: one wheel pop per tick drains every session's
-    // due events in global (at, seq) order — the exact relative
-    // order each session's standalone pump would have produced.
-    let mut events: Vec<EventRef> = Vec::new();
-    // Gauge of in-flight sessions, updated by delta so concurrent
-    // groups on other threads compose instead of clobbering.
-    MUX_OPEN_SESSIONS.add(open as i64);
-    let mut last_open = open;
-    while open > 0 && sim.drain_tick(&mut events).is_some() {
-        for event in events.drain(..) {
-            let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
-            let slot = &mut slots[node_slot[node.index()]];
-            match event {
-                // A closed session's events (done, or past its
-                // deadline) are events a standalone run would never
-                // have popped: retract the delivery count / consume
-                // the cancellation and drop them.
-                EventRef::Frame { link, payload, .. } if slot.closed => {
-                    sim.skip_delivery(link);
-                    sim.release_payload(payload);
-                }
-                // A crash applied mid-tick: this event was drained
-                // before the crash landed, so the pop-time dead check
-                // never saw it. A standalone pump pops it after the
-                // crash and drops it; do the same here (without
-                // settling — standalone applies fault boundaries only
-                // after *dispatched* events).
-                EventRef::Frame { link, payload, .. } if sim.node_is_down(node) => {
-                    sim.drop_delivery(link, payload);
-                }
-                // Timers: a cancellation a handler earlier in this
-                // tick left pending is consumed first (for closed
-                // sessions too), then the same two drops apply.
-                EventRef::Timer { token, .. }
-                    if sim.consume_cancellation(node, token)
-                        || slot.closed
-                        || sim.node_is_down(node) => {}
-                event => {
-                    dispatch(&mut sim, &slot.world, &mut *slot.pair, event);
-                    slot.settle(&mut sim, &mut open);
-                }
-            }
-        }
-        if open != last_open {
-            MUX_OPEN_SESSIONS.add(open as i64 - last_open as i64);
-            last_open = open;
-        }
-    }
-    MUX_OPEN_SESSIONS.add(-(last_open as i64));
-
-    for slot in &slots {
-        let ab_sent = sim.link_stats(slot.world.link_ab).sent;
-        results[slot.index] = Some(Ok(fold(
+    for (slot, &index) in slots.iter().zip(&indices) {
+        results[index] = Some(Ok(registry::result(
+            &*slot.dispatch,
             slot.now,
-            slot.pair.outcome(ab_sent),
-            slot.pair.offered(),
-            slot.pair.delivered(),
-            sim.session_stats(slot.session),
+            sim.link_stats(slot.world.link_ab).sent,
+            slot.link,
         )));
     }
-}
-
-/// Runs **one** registry session on its own simulator through the
-/// single-session pump (event-at-a-time via [`Simulator::step_ref`]) —
-/// what [`SuiteDriver`](crate::scenario::SuiteDriver) runs. With
-/// `record` on, the simulator captures the golden transcript and the
-/// session runs inside a [`golden::Observed`](crate::golden::Observed)
-/// wrapper that annotates every delivery (the golden recorder's mode);
-/// the returned simulator still holds the capture. Batched draining
-/// pops a whole tick before dispatching, which would misattach those
-/// per-delivery annotations; the stepped pump preserves the exact
-/// pop-dispatch-annotate interleaving.
-pub fn run_session_stepped(
-    scenario: &Scenario,
-    pair: &mut dyn SessionEndpoints,
-    record: bool,
-) -> (ScenarioResult, Simulator) {
-    let (mut sim, world) = duplex_world(scenario.seed, scenario.link.clone());
-    let elapsed = if record {
-        sim.record_golden(true);
-        run_scenario(scenario, &mut sim, &world, &mut Observed(&mut *pair))
-    } else {
-        run_scenario(scenario, &mut sim, &world, pair)
-    };
-    let ab_sent = sim.link_stats(world.link_ab).sent;
-    let result = fold(
-        elapsed,
-        pair.outcome(ab_sent),
-        pair.offered(),
-        pair.delivered(),
-        sim.total_stats(),
-    );
-    (result, sim)
 }
 
 #[cfg(test)]
@@ -295,8 +144,8 @@ mod tests {
     use netdsl_netsim::LinkConfig;
 
     /// A deliberately heterogeneous batch: every protocol, varied
-    /// impairments, both frame paths, a compiled FSM, a fault schedule
-    /// and a deadline-bound lossy session.
+    /// impairments, both frame paths, a compiled FSM, fault schedules
+    /// and deadline-bound sessions.
     fn mixed_batch() -> Vec<Scenario> {
         let mk = |name: &str, window: u32, link: LinkConfig, seed: u64| {
             Scenario::new(
@@ -320,8 +169,15 @@ mod tests {
                 .with_fault(netdsl_netsim::Fault::partition(40))
                 .with_fault(netdsl_netsim::Fault::repair(1_000, 4)),
             // Total loss + finite deadline: exercises the past-deadline
-            // close and the skip_delivery retraction path.
+            // close while other sessions keep the shared engine popping.
             mk(STOP_AND_WAIT, 1, LinkConfig::lossy(3, 1.0), 12).with_deadline(600),
+            // The receiver crashes for good and the sender hits its
+            // deadline with retransmissions in flight to the dead node:
+            // the shared engine pops those crash losses after the
+            // session closed, which a solo run never sees.
+            mk(GO_BACK_N, 4, LinkConfig::reliable(3), 7)
+                .with_deadline(300)
+                .with_fault(netdsl_netsim::Fault::crash(5, netdsl_netsim::FaultNode::B)),
         ];
         batch[1].protocol = batch[1].protocol.clone().with_engine(EngineConfig {
             frame_path: FramePath::Compiled,

@@ -24,15 +24,15 @@
 use netdsl_netsim::golden::Digest;
 use netdsl_netsim::scenario::{
     EngineConfigError, FaultNode, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioError,
-    TopologySpec,
+    ScenarioResult, TopologySpec,
 };
-use netdsl_netsim::TimerToken;
+use netdsl_netsim::{LinkStats, Tick, TimerToken};
 
 use crate::arq::compiled::FsmSender;
 use crate::arq::session::{SenderStats, SwReceiver, SwSender};
 use crate::arq::ArqFrame;
 use crate::baseline::{self, CReceiver, CSender};
-use crate::driver::{Dispatch, Endpoint, Io};
+use crate::driver::{fold, Dispatch, Endpoint, Io};
 use crate::gbn::{GbnReceiver, GbnSender};
 use crate::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use crate::sr::{SrReceiver, SrSender};
@@ -80,6 +80,24 @@ pub fn session(scenario: &Scenario) -> Result<Box<dyn SessionEndpoints>, Scenari
     // offered-message store for the result fold — no per-scenario clone
     // of the whole transfer.
     Ok(build(spec, scenario.traffic.generate()))
+}
+
+/// Folds a finished session into the [`ScenarioResult`] every driver
+/// reports. `ab_sent` is the session's A→B link send counter and `link`
+/// its link counters.
+pub(crate) fn result(
+    pair: &dyn SessionEndpoints,
+    elapsed: Tick,
+    ab_sent: u64,
+    link: LinkStats,
+) -> ScenarioResult {
+    fold(
+        elapsed,
+        pair.outcome(ab_sent),
+        pair.offered(),
+        pair.delivered(),
+        link,
+    )
 }
 
 /// Validates a protocol spec's engine configuration — the **single**

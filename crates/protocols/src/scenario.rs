@@ -31,8 +31,7 @@
 
 use netdsl_netsim::scenario::{Scenario, ScenarioDriver, ScenarioError, ScenarioResult};
 
-use crate::driver::{fold, Duplex, Endpoint};
-use crate::multiplex::run_session_stepped;
+use crate::driver::{duplex_world, fold, run_scenario, Duplex, Endpoint};
 use crate::registry;
 pub use crate::registry::validate_engine;
 
@@ -50,7 +49,8 @@ pub const BASELINE: &str = "baseline";
 /// [`ScenarioDriver`] over this crate's pairwise protocols
 /// ([`STOP_AND_WAIT`], [`GO_BACK_N`], [`SELECTIVE_REPEAT`],
 /// [`BASELINE`]); duplex topologies only. Each run is the [`registry`]
-/// session pumped by [`run_session_stepped`].
+/// session alone on a fresh simulator, pumped by the crate's one
+/// session pump.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SuiteDriver;
 
@@ -67,8 +67,15 @@ impl ScenarioDriver for SuiteDriver {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        let mut session = registry::session(scenario)?;
-        Ok(run_session_stepped(scenario, session.as_mut(), false).0)
+        let mut pair = registry::session(scenario)?;
+        let (mut sim, world) = duplex_world(scenario.seed, scenario.link.clone());
+        let (elapsed, link) = run_scenario(scenario, &mut sim, world, pair.as_mut());
+        Ok(registry::result(
+            pair.as_ref(),
+            elapsed,
+            sim.link_stats(world.link_ab).sent,
+            link,
+        ))
     }
 }
 
@@ -89,13 +96,13 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     delivered_of: impl Fn(&B) -> &[Vec<u8>],
 ) -> ScenarioResult {
     let mut duplex = Duplex::new(scenario.seed, scenario.link.clone(), a, b);
-    let elapsed = duplex.run_scenario(scenario);
+    let (elapsed, link) = duplex.run_scenario(scenario);
     fold(
         elapsed,
         stats_of(&duplex),
         offered_of(duplex.a()),
         delivered_of(duplex.b()),
-        duplex.sim().total_stats(),
+        link,
     )
 }
 

@@ -38,8 +38,8 @@ fn scenario(protocol: &str, policy: RetransmitPolicy) -> Scenario {
     .with_deadline(1_000_000)
 }
 
-/// Runs one scenario through both pumps: the solo driver's single-session
-/// pump and the batched multiplexer.
+/// Runs one scenario through the solo driver and as a one-session batch
+/// of the multiplexer.
 fn run_everywhere(s: &Scenario) -> [ScenarioResult; 2] {
     let solo = SuiteDriver::new().run(s).expect("valid scenario");
     let mux = MultiSessionDriver::new()
@@ -161,7 +161,25 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
                 300,
             )],
         ),
+        // A crash and its restart a tick or two apart: one event crosses
+        // both boundaries, and the frames and timers queued before the
+        // crash must still die.
+        (
+            "crash-restart-adjacent",
+            vec![
+                Fault::crash(1, FaultNode::B),
+                Fault::restart(2, FaultNode::B),
+            ],
+        ),
+        (
+            "crash-restart-sender",
+            vec![
+                Fault::crash(1, FaultNode::A),
+                Fault::restart(3, FaultNode::A),
+            ],
+        ),
     ];
+    let mut cells = Vec::new();
     for (label, faults) in plans {
         for protocol in [STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT] {
             for policy in [RetransmitPolicy::Fixed, ADAPTIVE] {
@@ -183,8 +201,15 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
                 let [solo, mux] = run_everywhere(&s);
                 assert_eq!(solo, mux, "{}: solo vs batched", s.name);
                 check_result(&s, &solo).assert_ok(&s.name);
+                cells.push((s, solo));
             }
         }
+    }
+    // Every cell again as sessions of one shared simulator.
+    let batch: Vec<Scenario> = cells.iter().map(|(s, _)| s.clone()).collect();
+    let batched = MultiSessionDriver::new().run_batch(&batch);
+    for ((s, solo), got) in cells.iter().zip(batched) {
+        assert_eq!(&got.expect("valid scenario"), solo, "{}: one batch", s.name);
     }
 }
 
@@ -192,7 +217,7 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
 fn a_fault_scheduled_after_the_last_event_never_lands() {
     // The transfer finishes long before the crash boundary; with no
     // event left to cross it, the fault is discarded by every driver
-    // (the multiplexer closes the slot, the solo pump stops) instead of
+    // (the session closes, in a batch or alone) instead of
     // resurrecting a finished session.
     let mut base = scenario(GO_BACK_N, RetransmitPolicy::Fixed);
     base.link = LinkConfig::reliable(3);
