@@ -98,7 +98,9 @@ fn gen_element<R: Rng + ?Sized>(
             Err(Deep)
         }
         Element::Repeat(rep, inner) => {
-            let max = rep.max.unwrap_or(rep.min.saturating_add(config.star_cap));
+            let max = rep
+                .max
+                .unwrap_or_else(|| rep.min.saturating_add(config.star_cap));
             let n = if rep.min >= max {
                 rep.min
             } else {

@@ -23,7 +23,9 @@
 //! (accept/reject on decode, byte-identical frames on encode) is pinned
 //! by the differential proptest suite in `tests/differential.rs`.
 
-use netdsl_core::packet::{PacketValue, Value};
+use std::cell::Cell;
+
+use netdsl_core::packet::{FieldRef, PacketValue, Value};
 use netdsl_core::DslError;
 use netdsl_obs::Counter;
 use netdsl_wire::checksum::ChecksumEngine;
@@ -198,66 +200,44 @@ impl BatchSummary {
 /// compiled counterpart of [`PacketValue`], keyed by [`FieldIx`] so the
 /// encoder never hashes or compares a name. Byte fields borrow the
 /// caller's buffers. Obtain one via [`CompiledCodec::values`] and
-/// [`Values::clear`] it between frames.
+/// [`Values::clear`] it between frames; a caller that wants no heap
+/// table at all passes its own [`FieldRef`] slice to
+/// [`CompiledCodec::encode_fields_into`].
 #[derive(Debug, Clone)]
 pub struct Values<'v> {
-    slots: Vec<Slot<'v>>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Slot<'v> {
-    Unset,
-    Uint(u64),
-    Bytes(&'v [u8]),
+    slots: Vec<FieldRef<'v>>,
 }
 
 impl<'v> Values<'v> {
     fn new(fields: usize) -> Self {
         Values {
-            slots: vec![Slot::Unset; fields],
+            slots: vec![FieldRef::Absent; fields],
         }
     }
 
     /// Sets an integer field.
     pub fn set_uint(&mut self, ix: FieldIx, v: u64) -> &mut Self {
-        self.slots[usize::from(ix)] = Slot::Uint(v);
+        self.slots[usize::from(ix)] = FieldRef::Uint(v);
         self
     }
 
     /// Sets a byte-run field (borrowing the caller's bytes).
     pub fn set_bytes(&mut self, ix: FieldIx, b: &'v [u8]) -> &mut Self {
-        self.slots[usize::from(ix)] = Slot::Bytes(b);
+        self.slots[usize::from(ix)] = FieldRef::Bytes(b);
         self
     }
 
     /// Unsets every slot, keeping the allocation.
     pub fn clear(&mut self) {
-        self.slots.fill(Slot::Unset);
+        self.slots.fill(FieldRef::Absent);
     }
+}
 
-    fn uint(&self, ix: FieldIx, name: &str) -> Result<u64, DslError> {
-        match self.slots[usize::from(ix)] {
-            Slot::Uint(v) => Ok(v),
-            Slot::Bytes(_) => Err(DslError::WrongKind {
-                field: name.to_string(),
-            }),
-            Slot::Unset => Err(DslError::MissingField {
-                field: name.to_string(),
-            }),
-        }
-    }
-
-    fn bytes(&self, ix: FieldIx, name: &str) -> Result<&'v [u8], DslError> {
-        match self.slots[usize::from(ix)] {
-            Slot::Bytes(b) => Ok(b),
-            Slot::Uint(_) => Err(DslError::WrongKind {
-                field: name.to_string(),
-            }),
-            Slot::Unset => Err(DslError::MissingField {
-                field: name.to_string(),
-            }),
-        }
-    }
+thread_local! {
+    /// Encode-time `(bit offset, bit width)` per field, reused by every
+    /// encode on this thread (the encode counterpart of a decode's
+    /// [`FieldView`]).
+    static ENCODE_SPANS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
 }
 
 impl CompiledCodec {
@@ -494,14 +474,45 @@ impl CompiledCodec {
     /// produced for accepted values are byte-identical to
     /// [`PacketSpec::encode`](netdsl_core::packet::PacketSpec::encode).
     pub fn encode_into(&self, values: &Values<'_>, out: &mut Vec<u8>) -> Result<(), DslError> {
+        self.encode_fields_into(&values.slots, out)
+    }
+
+    /// Encodes the values of `fields`, indexed by [`FieldIx`] (entries
+    /// past the end of the slice count as [`FieldRef::Absent`]), into
+    /// `out` — the body of [`CompiledCodec::encode_into`], for callers
+    /// that keep their values in a fixed array. The span table is
+    /// per-thread scratch, so a warm encode into a grown buffer
+    /// allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledCodec::encode_into`].
+    pub fn encode_fields_into(
+        &self,
+        fields: &[FieldRef<'_>],
+        out: &mut Vec<u8>,
+    ) -> Result<(), DslError> {
+        let mut spans = ENCODE_SPANS.with(Cell::take);
+        let encoded = self.encode_with_spans(fields, &mut spans, out);
+        ENCODE_SPANS.with(|cell| cell.set(spans));
+        encoded
+    }
+
+    fn encode_with_spans(
+        &self,
+        fields: &[FieldRef<'_>],
+        spans: &mut Vec<(u32, u32)>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DslError> {
+        let value = |ix: FieldIx| fields.get(usize::from(ix)).copied().unwrap_or_default();
         // Pass 0: resolve every field's width and bit offset.
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(self.ops.len());
+        spans.clear();
         let mut off = 0usize;
         for op in &self.ops {
             let width = match *op {
                 Op::BytesFixed { field, len } => {
                     let name = &self.field_names[usize::from(field)];
-                    let b = values.bytes(field, name)?;
+                    let b = value(field).bytes(name)?;
                     if b.len() != len as usize {
                         return Err(DslError::LengthFieldMismatch {
                             field: name.clone(),
@@ -519,14 +530,14 @@ impl CompiledCodec {
                     prefix_is_computed,
                 } => {
                     let name = &self.field_names[usize::from(field)];
-                    let b = values.bytes(field, name)?;
+                    let b = value(field).bytes(name)?;
                     // A caller-supplied prefix must agree with the
                     // payload; a computed (Length) prefix is derived, and
                     // decode re-verifies the relationship from the other
                     // side — mirroring the interpretive encoder.
                     if !prefix_is_computed {
                         let prefix_name = &self.field_names[usize::from(prefix)];
-                        let v = values.uint(prefix, prefix_name)?;
+                        let v = value(prefix).uint(prefix_name)?;
                         let expect = prefixed_len(v, unit, bias, prefix_name)?;
                         if expect != b.len() {
                             return Err(DslError::LengthFieldMismatch {
@@ -540,7 +551,7 @@ impl CompiledCodec {
                 }
                 Op::BytesRest { field } => {
                     let name = &self.field_names[usize::from(field)];
-                    values.bytes(field, name)?.len() * 8
+                    value(field).bytes(name)?.len() * 8
                 }
                 _ => op.fixed_bits().expect("non-byte ops are fixed-width"),
             };
@@ -555,14 +566,14 @@ impl CompiledCodec {
             match *op {
                 Op::Uint { field, bits } => {
                     let name = &self.field_names[usize::from(field)];
-                    writer.write_bits(values.uint(field, name)?, usize::from(bits))?;
+                    writer.write_bits(value(field).uint(name)?, usize::from(bits))?;
                 }
                 Op::Const { bits, value, .. } => {
                     writer.write_bits(value, usize::from(bits))?;
                 }
                 Op::Enum { field, bits, set } => {
                     let name = &self.field_names[usize::from(field)];
-                    let v = values.uint(field, name)?;
+                    let v = value(field).uint(name)?;
                     if self.enum_sets[usize::from(set)].binary_search(&v).is_err() {
                         return Err(DslError::InvalidEnumValue {
                             field: name.clone(),
@@ -578,7 +589,7 @@ impl CompiledCodec {
                     unit,
                     bias,
                 } => {
-                    let covered = self.covered_len_spans(cov, &spans, frame_len) as u64;
+                    let covered = self.covered_len_spans(cov, spans, frame_len) as u64;
                     let v = (covered / unit) as i64 + bias;
                     if v < 0 {
                         return Err(DslError::LengthFieldMismatch {
@@ -596,7 +607,7 @@ impl CompiledCodec {
                 | Op::BytesPrefixed { field, .. }
                 | Op::BytesRest { field } => {
                     let name = &self.field_names[usize::from(field)];
-                    writer.write_bytes(values.bytes(field, name)?)?;
+                    writer.write_bytes(value(field).bytes(name)?)?;
                 }
             }
         }
@@ -609,7 +620,7 @@ impl CompiledCodec {
         for &op_ix in &self.deferred {
             if let Op::Checksum { field, kind, cov } = self.ops[usize::from(op_ix)] {
                 let mut engine = ChecksumEngine::new(kind);
-                self.for_each_covered_range_spans(cov, &spans, frame_len, |s, e| {
+                self.for_each_covered_range_spans(cov, spans, frame_len, |s, e| {
                     engine.update(&frame[s..e]);
                 });
                 let value = engine.finish();
@@ -735,7 +746,7 @@ fn prefixed_len(value: u64, unit: i64, bias: i64, prefix_name: &str) -> Result<u
     let n = v
         .checked_mul(unit)
         .and_then(|x| x.checked_add(bias))
-        .ok_or(DslError::LengthFieldMismatch {
+        .ok_or_else(|| DslError::LengthFieldMismatch {
             field: prefix_name.to_string(),
             declared: usize::MAX,
             actual: 0,

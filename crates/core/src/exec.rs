@@ -73,7 +73,7 @@ impl<'s> Driver<'s> {
             .machine
             .spec()
             .event_id(event)
-            .ok_or(DslError::UnknownName {
+            .ok_or_else(|| DslError::UnknownName {
                 name: event.to_string(),
             })?;
         let before = self.machine.config().clone();

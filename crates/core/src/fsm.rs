@@ -497,7 +497,7 @@ impl SpecBuilder {
                 .iter()
                 .position(|s| s.name == n)
                 .map(StateId)
-                .ok_or(DslError::UnknownName {
+                .ok_or_else(|| DslError::UnknownName {
                     name: n.to_string(),
                 })
         };
@@ -506,7 +506,7 @@ impl SpecBuilder {
                 .iter()
                 .position(|e| e.name == n)
                 .map(EventId)
-                .ok_or(DslError::UnknownName {
+                .ok_or_else(|| DslError::UnknownName {
                     name: n.to_string(),
                 })
         };
@@ -671,7 +671,7 @@ impl<'s> Machine<'s> {
             .iter()
             .position(|v| v.name == name)
             .map(|i| self.config.vars[i])
-            .ok_or(DslError::UnknownName {
+            .ok_or_else(|| DslError::UnknownName {
                 name: name.to_string(),
             })
     }
@@ -769,9 +769,12 @@ impl<'s> Machine<'s> {
     /// [`DslError::UnknownName`] for unknown events, otherwise as
     /// [`Machine::apply`].
     pub fn apply_named(&mut self, event: &str) -> Result<StateId, DslError> {
-        let id = self.spec.event_id(event).ok_or(DslError::UnknownName {
-            name: event.to_string(),
-        })?;
+        let id = self
+            .spec
+            .event_id(event)
+            .ok_or_else(|| DslError::UnknownName {
+                name: event.to_string(),
+            })?;
         self.apply(id)
     }
 }

@@ -517,7 +517,7 @@ impl<'c> Stepper<'c> {
         self.fsm
             .var_index(name)
             .map(|v| self.regs[v.0])
-            .ok_or(DslError::UnknownName {
+            .ok_or_else(|| DslError::UnknownName {
                 name: name.to_string(),
             })
     }
@@ -620,9 +620,13 @@ impl<'c> Stepper<'c> {
     /// [`DslError::UnknownName`] for unknown events, otherwise as
     /// [`Stepper::apply`].
     pub fn apply_named(&mut self, event: &str) -> Result<StateId, DslError> {
-        let id = self.fsm.spec.event_id(event).ok_or(DslError::UnknownName {
-            name: event.to_string(),
-        })?;
+        let id = self
+            .fsm
+            .spec
+            .event_id(event)
+            .ok_or_else(|| DslError::UnknownName {
+                name: event.to_string(),
+            })?;
         self.apply(id)
     }
 

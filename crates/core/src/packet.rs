@@ -17,7 +17,18 @@
 //! contents with **no further validation**, which is the paper's
 //! `ChkPacket` argument (§3.3: "when a packet has been validated once, it
 //! never needs to be validated again").
+//!
+//! One interpretive walker runs every spec. It resolves each field's span
+//! and value into per-thread scratch tables indexed by declaration order,
+//! so a warm walk allocates nothing. Hot callers use its borrowed entry
+//! points: [`PacketSpec::decode_with`] hands a validated [`FrameFields`]
+//! view to a closure, and [`PacketSpec::encode_fields_into`] encodes a
+//! [`FieldRef`] slice into a reused buffer. The by-name
+//! [`PacketValue`] front door ([`PacketSpec::decode`],
+//! [`PacketSpec::encode`]) runs the same walk and copies values in or
+//! out.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -213,15 +224,7 @@ impl PacketValue {
     ///
     /// [`DslError::MissingField`] / [`DslError::WrongKind`].
     pub fn uint(&self, name: &str) -> Result<u64, DslError> {
-        self.fields
-            .get(name)
-            .ok_or(DslError::MissingField {
-                field: name.to_string(),
-            })?
-            .as_uint()
-            .ok_or(DslError::WrongKind {
-                field: name.to_string(),
-            })
+        self.field_ref(name).uint(name)
     }
 
     /// Gets a byte-string field.
@@ -230,20 +233,82 @@ impl PacketValue {
     ///
     /// [`DslError::MissingField`] / [`DslError::WrongKind`].
     pub fn bytes(&self, name: &str) -> Result<&[u8], DslError> {
-        self.fields
-            .get(name)
-            .ok_or(DslError::MissingField {
-                field: name.to_string(),
-            })?
-            .as_bytes()
-            .ok_or(DslError::WrongKind {
-                field: name.to_string(),
-            })
+        self.field_ref(name).bytes(name)
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    fn field_ref(&self, name: &str) -> FieldRef<'_> {
+        self.fields
+            .get(name)
+            .map_or(FieldRef::Absent, FieldRef::from)
+    }
+}
+
+/// One borrowed field value, the unit of
+/// [`PacketSpec::encode_fields_into`]: a slice of these lists a frame's
+/// values in declaration order ([`PacketSpec::field_index`]), so no
+/// name is looked up per frame.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FieldRef<'a> {
+    /// No value supplied — what computed fields (`Const`, `Length`,
+    /// `Checksum`) are normally given; supplied values for them are
+    /// ignored.
+    #[default]
+    Absent,
+    /// An unsigned integer.
+    Uint(u64),
+    /// A borrowed byte string.
+    Bytes(&'a [u8]),
+}
+
+impl<'a> FieldRef<'a> {
+    /// The integer inside, as the value of field `field`.
+    ///
+    /// # Errors
+    ///
+    /// [`DslError::MissingField`] for `Absent`, [`DslError::WrongKind`]
+    /// for `Bytes`, both naming `field`.
+    pub fn uint(self, field: &str) -> Result<u64, DslError> {
+        match self {
+            FieldRef::Uint(v) => Ok(v),
+            FieldRef::Bytes(_) => Err(DslError::WrongKind {
+                field: field.to_string(),
+            }),
+            FieldRef::Absent => Err(DslError::MissingField {
+                field: field.to_string(),
+            }),
+        }
+    }
+
+    /// The bytes inside, as the value of field `field`.
+    ///
+    /// # Errors
+    ///
+    /// [`DslError::MissingField`] for `Absent`, [`DslError::WrongKind`]
+    /// for `Uint`, both naming `field`.
+    pub fn bytes(self, field: &str) -> Result<&'a [u8], DslError> {
+        match self {
+            FieldRef::Bytes(b) => Ok(b),
+            FieldRef::Uint(_) => Err(DslError::WrongKind {
+                field: field.to_string(),
+            }),
+            FieldRef::Absent => Err(DslError::MissingField {
+                field: field.to_string(),
+            }),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for FieldRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Uint(u) => FieldRef::Uint(*u),
+            Value::Bytes(b) => FieldRef::Bytes(b),
+        }
     }
 }
 
@@ -504,23 +569,181 @@ impl PacketSpecBuilder {
     }
 }
 
-/// Byte extent of each field in one concrete frame, produced as a side
-/// effect of encoding/decoding.
-#[derive(Debug, Clone, Default)]
-struct Layout {
-    /// `(field index, bit offset, bit width)` triples, in wire order.
-    spans: Vec<(usize, usize, usize)>,
+/// Where one decoded field's value lives.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// An integer field's value.
+    Uint(u64),
+    /// A byte field's run `(start, len)` in the frame.
+    Bytes(usize, usize),
 }
 
-impl Layout {
-    /// Byte range `[start, end)` covering the field's bits (sub-byte
+/// The walker's per-thread working memory, reused frame after frame so
+/// a warm walk allocates nothing. Every table is indexed by declaration
+/// order ([`PacketSpec::field_index`]).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// `(bit offset, bit width)` of each field in the frame.
+    spans: Vec<(usize, usize)>,
+    /// Each field's decoded value (filled by decode only).
+    slots: Vec<Slot>,
+    /// Merged byte ranges of the coverage last resolved.
+    ranges: Vec<(usize, usize)>,
+    /// The assembled input of the checksum last computed.
+    input: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// Runs `f` with this thread's [`Scratch`]. The scratch is taken out of
+/// its cell for the duration, so a walk nested inside `f` (a
+/// [`PacketSpec::decode_with`] closure decoding an inner frame) gets a
+/// fresh one instead of aliasing the outer walk's tables.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
+}
+
+impl Scratch {
+    /// Byte range `[start, end)` covering field `i`'s bits (sub-byte
     /// fields cover their containing bytes).
-    fn byte_range(&self, field_idx: usize) -> Option<(usize, usize)> {
-        self.spans
-            .iter()
-            .find(|(i, _, _)| *i == field_idx)
-            .map(|(_, off, width)| (off / 8, (off + width).div_ceil(8)))
+    fn byte_range(&self, i: usize) -> (usize, usize) {
+        let (off, width) = self.spans[i];
+        (off / 8, (off + width).div_ceil(8))
     }
+
+    /// Resolves `coverage` against the spans into merged byte ranges
+    /// (left in `self.ranges`) and returns their total length.
+    fn cover(&mut self, spec: &PacketSpec, coverage: &Coverage, frame_len: usize) -> usize {
+        self.ranges.clear();
+        match coverage {
+            Coverage::Whole => self.ranges.push((0, frame_len)),
+            Coverage::Fields(names) => {
+                for i in names.iter().filter_map(|n| spec.field_index(n)) {
+                    let range = self.byte_range(i);
+                    self.ranges.push(range);
+                }
+                self.ranges.sort_unstable();
+                // Merge overlapping/adjacent ranges (sub-byte neighbours
+                // share bytes).
+                self.ranges.dedup_by(|(s, e), (_, kept_end)| {
+                    let overlaps = *s <= *kept_end;
+                    if overlaps {
+                        *kept_end = (*kept_end).max(*e);
+                    }
+                    overlaps
+                });
+            }
+        }
+        self.ranges.iter().map(|(s, e)| e - s).sum()
+    }
+
+    /// Computes checksum field `i` over its coverage of `frame`, with
+    /// the field's own bytes zeroed in the assembled input.
+    fn checksum(
+        &mut self,
+        spec: &PacketSpec,
+        i: usize,
+        kind: ChecksumKind,
+        coverage: &Coverage,
+        frame: &[u8],
+    ) -> u64 {
+        let (own_start, own_end) = self.byte_range(i);
+        self.cover(spec, coverage, frame.len());
+        self.input.clear();
+        for &(s, e) in &self.ranges {
+            let base = self.input.len();
+            self.input.extend_from_slice(&frame[s..e]);
+            let (zero_start, zero_end) = (own_start.max(s), own_end.min(e));
+            if zero_start < zero_end {
+                self.input[base + zero_start - s..base + zero_end - s].fill(0);
+            }
+        }
+        kind.compute(&self.input)
+    }
+}
+
+/// The fields of one frame that [`PacketSpec::decode_with`] has fully
+/// validated, read by name; byte fields borrow from the frame.
+///
+/// There is no public constructor: like a [`Checked`] value, holding a
+/// `FrameFields` is the certificate that every declared constraint of
+/// the frame held.
+#[derive(Debug)]
+pub struct FrameFields<'s, 'f> {
+    spec: &'s PacketSpec,
+    frame: &'f [u8],
+    slots: &'s [Slot],
+}
+
+impl<'s, 'f> FrameFields<'s, 'f> {
+    fn field(&self, name: &str) -> FieldRef<'f> {
+        match self.spec.field_index(name).and_then(|i| self.slots.get(i)) {
+            Some(&Slot::Uint(v)) => FieldRef::Uint(v),
+            Some(&Slot::Bytes(start, len)) => FieldRef::Bytes(&self.frame[start..start + len]),
+            None => FieldRef::Absent,
+        }
+    }
+
+    /// Gets an integer field.
+    ///
+    /// # Errors
+    ///
+    /// [`DslError::MissingField`] / [`DslError::WrongKind`], as for
+    /// [`PacketValue::uint`].
+    pub fn uint(&self, name: &str) -> Result<u64, DslError> {
+        self.field(name).uint(name)
+    }
+
+    /// Gets a byte-string field, borrowed from the frame.
+    ///
+    /// # Errors
+    ///
+    /// [`DslError::MissingField`] / [`DslError::WrongKind`], as for
+    /// [`PacketValue::bytes`].
+    pub fn bytes(&self, name: &str) -> Result<&'f [u8], DslError> {
+        self.field(name).bytes(name)
+    }
+
+    /// Copies every field into an owned [`PacketValue`].
+    fn to_value(&self) -> PacketValue {
+        let mut values = PacketValue::new();
+        for (f, slot) in self.spec.fields.iter().zip(self.slots) {
+            let value = match *slot {
+                Slot::Uint(v) => Value::Uint(v),
+                Slot::Bytes(start, len) => Value::Bytes(self.frame[start..start + len].to_vec()),
+            };
+            values.set(&f.name, value);
+        }
+        values
+    }
+}
+
+/// Byte length of a `Len::Prefixed` run whose prefix field `field`
+/// holds `value`: `value * unit + bias`.
+fn prefixed_len(field: &str, value: u64, unit: i64, bias: i64) -> Result<usize, DslError> {
+    let n = (value as i64)
+        .checked_mul(unit)
+        .and_then(|x| x.checked_add(bias))
+        .ok_or_else(|| DslError::LengthFieldMismatch {
+            field: field.to_string(),
+            declared: usize::MAX,
+            actual: 0,
+        })?;
+    if n < 0 {
+        return Err(DslError::LengthFieldMismatch {
+            field: field.to_string(),
+            declared: 0,
+            actual: 0,
+        });
+    }
+    Ok(n as usize)
 }
 
 /// A validated, declarative packet description.
@@ -583,103 +806,6 @@ impl PacketSpec {
         }
     }
 
-    /// Computes the byte length the `Bytes` field at `idx` should have,
-    /// from the values decoded/supplied so far.
-    fn bytes_len(
-        &self,
-        idx: usize,
-        len: &Len,
-        values: &PacketValue,
-        remaining: Option<usize>,
-    ) -> Result<usize, DslError> {
-        match len {
-            Len::Fixed(n) => Ok(*n),
-            Len::Rest => remaining.ok_or(DslError::MissingField {
-                field: self.fields[idx].name.clone(),
-            }),
-            Len::Prefixed { field, unit, bias } => {
-                let v = values.uint(field)? as i64;
-                let n = v
-                    .checked_mul(*unit)
-                    .and_then(|x| x.checked_add(*bias))
-                    .ok_or(DslError::LengthFieldMismatch {
-                        field: field.clone(),
-                        declared: usize::MAX,
-                        actual: 0,
-                    })?;
-                if n < 0 {
-                    return Err(DslError::LengthFieldMismatch {
-                        field: field.clone(),
-                        declared: 0,
-                        actual: 0,
-                    });
-                }
-                Ok(n as usize)
-            }
-        }
-    }
-
-    /// Total covered bytes for a `Coverage`, given a concrete layout and
-    /// total frame size.
-    fn covered_ranges(
-        &self,
-        coverage: &Coverage,
-        layout: &Layout,
-        frame_len: usize,
-    ) -> Vec<(usize, usize)> {
-        match coverage {
-            Coverage::Whole => vec![(0, frame_len)],
-            Coverage::Fields(names) => {
-                let mut ranges: Vec<(usize, usize)> = names
-                    .iter()
-                    .filter_map(|n| self.field_index(n))
-                    .filter_map(|i| layout.byte_range(i))
-                    .collect();
-                ranges.sort_unstable();
-                // Merge overlapping/adjacent ranges (sub-byte neighbours
-                // share bytes).
-                let mut merged: Vec<(usize, usize)> = Vec::new();
-                for (s, e) in ranges {
-                    match merged.last_mut() {
-                        Some((_, pe)) if s <= *pe => *pe = (*pe).max(e),
-                        _ => merged.push((s, e)),
-                    }
-                }
-                merged
-            }
-        }
-    }
-
-    fn covered_len(&self, coverage: &Coverage, layout: &Layout, frame_len: usize) -> usize {
-        self.covered_ranges(coverage, layout, frame_len)
-            .iter()
-            .map(|(s, e)| e - s)
-            .sum()
-    }
-
-    /// Bytes over which a checksum is computed: the covered ranges, with
-    /// the checksum field's own bytes zeroed.
-    fn checksum_input(
-        &self,
-        field_idx: usize,
-        coverage: &Coverage,
-        layout: &Layout,
-        frame: &[u8],
-    ) -> Vec<u8> {
-        let (own_start, own_end) = layout.byte_range(field_idx).unwrap_or((0, 0));
-        let ranges = self.covered_ranges(coverage, layout, frame.len());
-        let mut input = Vec::with_capacity(ranges.iter().map(|(s, e)| e - s).sum());
-        for (s, e) in ranges {
-            let base = input.len();
-            input.extend_from_slice(&frame[s..e]);
-            let (zero_start, zero_end) = (own_start.max(s), own_end.min(e));
-            if zero_start < zero_end {
-                input[base + zero_start - s..base + zero_end - s].fill(0);
-            }
-        }
-        input
-    }
-
     /// Encodes `values` into a wire frame.
     ///
     /// `Const`, `Length` and `Checksum` fields are computed automatically
@@ -693,14 +819,46 @@ impl PacketSpec {
     ///   value disagrees with its prefix field;
     /// * [`DslError::Wire`] if a value overflows its width.
     pub fn encode(&self, values: &PacketValue) -> Result<Vec<u8>, DslError> {
-        // Pass 1: resolve every field's bit width (needs Bytes lengths),
-        // and auto-compute prefix integers referenced by Prefixed fields
-        // when they are plain `Uint`s that the caller didn't set.
-        let mut widths = Vec::with_capacity(self.fields.len());
+        let mut out = Vec::new();
+        with_scratch(|s| self.encode_by(|i| values.field_ref(&self.fields[i].name), s, &mut out))?;
+        Ok(out)
+    }
+
+    /// Encodes the values of `fields`, listed in declaration order
+    /// ([`PacketSpec::field_index`]; entries past the end of the slice
+    /// count as [`FieldRef::Absent`]), into `out`. `out` is cleared
+    /// first and its allocation reused, so a pooled buffer encodes with
+    /// no allocation once warm. Frames are byte-identical to
+    /// [`PacketSpec::encode`]'s; on error the contents of `out` are
+    /// unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PacketSpec::encode`], identically.
+    pub fn encode_fields_into(
+        &self,
+        fields: &[FieldRef<'_>],
+        out: &mut Vec<u8>,
+    ) -> Result<(), DslError> {
+        with_scratch(|s| self.encode_by(|i| fields.get(i).copied().unwrap_or_default(), s, out))
+    }
+
+    /// The one encode body: `value(i)` supplies field `i`'s value.
+    /// Pass 1 resolves every field's span (which needs the byte
+    /// lengths), pass 2 serialises with `Length` fields computed and
+    /// checksums zeroed, pass 3 patches checksums in field order.
+    fn encode_by<'v>(
+        &self,
+        value: impl Fn(usize) -> FieldRef<'v>,
+        s: &mut Scratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DslError> {
+        s.spans.clear();
+        let mut off = 0;
         for (i, f) in self.fields.iter().enumerate() {
-            let w = match &f.kind {
+            let width = match &f.kind {
                 FieldKind::Bytes { len } => {
-                    let b = values.bytes(&f.name)?;
+                    let b = value(i).bytes(&f.name)?;
                     if let Len::Fixed(n) = len {
                         if b.len() != *n {
                             return Err(DslError::LengthFieldMismatch {
@@ -710,38 +868,53 @@ impl PacketSpec {
                             });
                         }
                     }
-                    let _ = i;
                     b.len() * 8
                 }
                 k => k.fixed_bits().expect("non-bytes fields are fixed"),
             };
-            widths.push(w);
+            s.spans.push((off, width));
+            off += width;
         }
-        let total_bits: usize = widths.iter().sum();
-        let frame_len = total_bits / 8;
+        let frame_len = off / 8;
 
-        // Build the layout (bit offsets).
-        let mut layout = Layout::default();
-        let mut off = 0usize;
-        for (i, w) in widths.iter().enumerate() {
-            layout.spans.push((i, off, *w));
-            off += w;
+        let mut buf = std::mem::take(out);
+        buf.clear();
+        buf.reserve(frame_len);
+        let mut writer = BitWriter::from_vec(buf);
+        let written = self.write_fields(&value, s, frame_len, &mut writer);
+        *out = writer.into_bytes();
+        written?;
+
+        // Byte-aligned by construction (enforced in `build`).
+        for (i, f) in self.fields.iter().enumerate() {
+            if let FieldKind::Checksum { kind, coverage } = &f.kind {
+                let sum = s.checksum(self, i, *kind, coverage, out);
+                let (start, end) = s.byte_range(i);
+                let be = sum.to_be_bytes();
+                out[start..end].copy_from_slice(&be[8 - (end - start)..]);
+            }
         }
+        Ok(())
+    }
 
-        // Pass 2: serialise, computing Length fields on the fly and
-        // leaving checksums zeroed.
-        let mut writer = BitWriter::with_capacity(frame_len);
-        let mut checksum_jobs: Vec<(usize, ChecksumKind, &Coverage)> = Vec::new();
+    /// Pass 2 of [`PacketSpec::encode_by`] over the spans of pass 1.
+    fn write_fields<'v>(
+        &self,
+        value: &impl Fn(usize) -> FieldRef<'v>,
+        s: &mut Scratch,
+        frame_len: usize,
+        writer: &mut BitWriter,
+    ) -> Result<(), DslError> {
         for (i, f) in self.fields.iter().enumerate() {
             match &f.kind {
                 FieldKind::Uint { bits } => {
-                    writer.write_bits(values.uint(&f.name)?, *bits)?;
+                    writer.write_bits(value(i).uint(&f.name)?, *bits)?;
                 }
                 FieldKind::Const { bits, value } => {
                     writer.write_bits(*value, *bits)?;
                 }
                 FieldKind::Enum { bits, allowed } => {
-                    let v = values.uint(&f.name)?;
+                    let v = value(i).uint(&f.name)?;
                     if !allowed.contains(&v) {
                         return Err(DslError::InvalidEnumValue {
                             field: f.name.clone(),
@@ -756,7 +929,7 @@ impl PacketSpec {
                     unit,
                     bias,
                 } => {
-                    let covered = self.covered_len(coverage, &layout, frame_len) as u64;
+                    let covered = s.cover(self, coverage, frame_len) as u64;
                     let v = (covered / unit) as i64 + bias;
                     if v < 0 {
                         return Err(DslError::LengthFieldMismatch {
@@ -767,23 +940,23 @@ impl PacketSpec {
                     }
                     writer.write_bits(v as u64, *bits)?;
                 }
-                FieldKind::Checksum { kind, coverage } => {
+                FieldKind::Checksum { kind, .. } => {
                     writer.write_bits(0, kind.width_bits())?;
-                    checksum_jobs.push((i, *kind, coverage));
                 }
                 FieldKind::Bytes { len } => {
-                    let b = values.bytes(&f.name)?;
+                    let b = value(i).bytes(&f.name)?;
                     // A Prefixed byte field must agree with its prefix —
                     // unless the prefix is itself a computed Length field,
                     // in which case it is derived (and decode re-verifies
                     // the relationship from the other side).
-                    if let Len::Prefixed { field, .. } = len {
-                        let prefix_is_computed = self
-                            .field_index(field)
-                            .map(|j| matches!(self.fields[j].kind, FieldKind::Length { .. }))
-                            .unwrap_or(false);
+                    if let Len::Prefixed { field, unit, bias } = len {
+                        let prefix = self.field_index(field);
+                        let prefix_is_computed = prefix.is_some_and(|j| {
+                            matches!(self.fields[j].kind, FieldKind::Length { .. })
+                        });
                         if !prefix_is_computed {
-                            let expect = self.bytes_len(i, len, values, None)?;
+                            let v = prefix.map_or(FieldRef::Absent, value).uint(field)?;
+                            let expect = prefixed_len(field, v, *unit, *bias)?;
                             if expect != b.len() {
                                 return Err(DslError::LengthFieldMismatch {
                                     field: f.name.clone(),
@@ -797,19 +970,7 @@ impl PacketSpec {
                 }
             }
         }
-        let mut frame = writer.into_bytes();
-
-        // Pass 3: compute and patch checksums (byte-aligned by
-        // construction — enforced in `build`).
-        for (i, kind, coverage) in checksum_jobs {
-            let input = self.checksum_input(i, coverage, &layout, &frame);
-            let value = kind.compute(&input);
-            let (s, _) = layout.byte_range(i).expect("checksum field in layout");
-            let nbytes = kind.width_bits() / 8;
-            let be = value.to_be_bytes();
-            frame[s..s + nbytes].copy_from_slice(&be[8 - nbytes..]);
-        }
-        Ok(frame)
+        Ok(())
     }
 
     /// Decodes and fully validates a frame, returning a [`Checked`]
@@ -823,8 +984,33 @@ impl PacketSpec {
     ///   [`DslError::ChecksumFailed`] when the corresponding constraints
     ///   are violated.
     pub fn decode(&self, frame: &[u8]) -> Result<Checked<PacketValue>, DslError> {
-        let (values, _) = self.walk(frame, true)?;
-        Ok(Checked::assert_valid(values))
+        self.decode_with(frame, |fields| Ok(Checked::assert_valid(fields.to_value())))
+    }
+
+    /// Decodes and fully validates a frame exactly as
+    /// [`PacketSpec::decode`] does, then — only if every check passed —
+    /// hands `read` a borrowed [`FrameFields`] view instead of building
+    /// an owned [`PacketValue`]. A warm call allocates nothing itself;
+    /// whatever `read` returns is passed through. `read` may itself
+    /// decode another frame.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PacketSpec::decode`], identically; otherwise whatever
+    /// `read` returns.
+    pub fn decode_with<'f, R>(
+        &self,
+        frame: &'f [u8],
+        read: impl FnOnce(&FrameFields<'_, 'f>) -> Result<R, DslError>,
+    ) -> Result<R, DslError> {
+        with_scratch(|s| {
+            self.walk(frame, true, s)?;
+            read(&FrameFields {
+                spec: self,
+                frame,
+                slots: &s.slots,
+            })
+        })
     }
 
     /// Decodes *without* verifying checksums, constants or length fields.
@@ -838,7 +1024,15 @@ impl PacketSpec {
     ///
     /// [`DslError::Wire`] if the frame is structurally truncated.
     pub fn decode_unchecked(&self, frame: &[u8]) -> Result<PacketValue, DslError> {
-        Ok(self.walk(frame, false)?.0)
+        with_scratch(|s| {
+            self.walk(frame, false, s)?;
+            Ok(FrameFields {
+                spec: self,
+                frame,
+                slots: &s.slots,
+            }
+            .to_value())
+        })
     }
 
     /// Runs only the validation phase over an already-decoded value/frame
@@ -848,45 +1042,48 @@ impl PacketSpec {
     ///
     /// As for [`PacketSpec::decode`].
     pub fn verify_frame(&self, frame: &[u8]) -> Result<(), DslError> {
-        self.walk(frame, true).map(|_| ())
+        with_scratch(|s| self.walk(frame, true, s))
     }
 
     /// The single interpretive frame walker behind [`PacketSpec::decode`],
-    /// [`PacketSpec::decode_unchecked`] and [`PacketSpec::verify_frame`]:
-    /// one structural pass resolving every field against the frame, then
-    /// (when `validate` is set) one constraint pass over the resolved
-    /// layout, in field order. The `netdsl-codec` lowering pass mirrors
-    /// exactly this resolution via [`PacketSpec::field_index`] /
-    /// [`PacketSpec::resolve_coverage`], which is what makes the compiled
-    /// and interpretive paths verdict-equivalent.
-    fn walk(&self, frame: &[u8], validate: bool) -> Result<(PacketValue, Layout), DslError> {
+    /// [`PacketSpec::decode_with`], [`PacketSpec::decode_unchecked`] and
+    /// [`PacketSpec::verify_frame`]: one structural pass resolving every
+    /// field's span and value into `s`, then (when `validate` is set) one
+    /// constraint pass over the resolved spans, in field order. The
+    /// `netdsl-codec` lowering pass mirrors exactly this resolution via
+    /// [`PacketSpec::field_index`] / [`PacketSpec::resolve_coverage`],
+    /// which is what makes the compiled and interpretive paths
+    /// verdict-equivalent.
+    fn walk(&self, frame: &[u8], validate: bool, s: &mut Scratch) -> Result<(), DslError> {
+        s.spans.clear();
+        s.slots.clear();
         let mut reader = BitReader::new(frame);
-        let mut values = PacketValue::new();
-        let mut layout = Layout::default();
-        for (i, f) in self.fields.iter().enumerate() {
+        for f in &self.fields {
             let off = reader.bit_position();
-            match &f.kind {
-                FieldKind::Uint { bits }
-                | FieldKind::Const { bits, .. }
-                | FieldKind::Enum { bits, .. }
-                | FieldKind::Length { bits, .. } => {
-                    let v = reader.read_bits(*bits)?;
-                    layout.spans.push((i, off, *bits));
-                    values.set(&f.name, Value::Uint(v));
-                }
-                FieldKind::Checksum { kind, .. } => {
-                    let v = reader.read_bits(kind.width_bits())?;
-                    layout.spans.push((i, off, kind.width_bits()));
-                    values.set(&f.name, Value::Uint(v));
-                }
+            let (slot, width) = match &f.kind {
                 FieldKind::Bytes { len } => {
-                    let remaining = reader.remaining_bits() / 8;
-                    let n = self.bytes_len(i, len, &values, Some(remaining))?;
-                    let b = reader.read_bytes(n)?;
-                    layout.spans.push((i, off, n * 8));
-                    values.set(&f.name, Value::Bytes(b.to_vec()));
+                    let n = match len {
+                        Len::Fixed(n) => *n,
+                        Len::Rest => reader.remaining_bits() / 8,
+                        Len::Prefixed { field, unit, bias } => {
+                            let decoded = FrameFields {
+                                spec: self,
+                                frame,
+                                slots: &s.slots,
+                            };
+                            prefixed_len(field, decoded.uint(field)?, *unit, *bias)?
+                        }
+                    };
+                    reader.read_bytes(n)?;
+                    (Slot::Bytes(off / 8, n), n * 8)
                 }
-            }
+                k => {
+                    let bits = k.fixed_bits().expect("non-bytes fields are fixed");
+                    (Slot::Uint(reader.read_bits(bits)?), bits)
+                }
+            };
+            s.spans.push((off, width));
+            s.slots.push(slot);
         }
         if !reader.is_empty() {
             return Err(DslError::Wire(netdsl_wire::WireError::LengthMismatch {
@@ -895,29 +1092,26 @@ impl PacketSpec {
             }));
         }
         if !validate {
-            return Ok((values, layout));
+            return Ok(());
         }
-        // Constraint pass, in field order, over the resolved layout.
+        // Constraint pass, in field order, over the resolved spans.
         for (i, f) in self.fields.iter().enumerate() {
+            let Slot::Uint(found) = s.slots[i] else {
+                continue;
+            };
             match &f.kind {
-                FieldKind::Const { value, .. } => {
-                    let found = values.uint(&f.name)?;
-                    if found != *value {
-                        return Err(DslError::ConstMismatch {
-                            field: f.name.clone(),
-                            expected: *value,
-                            found,
-                        });
-                    }
+                FieldKind::Const { value, .. } if found != *value => {
+                    return Err(DslError::ConstMismatch {
+                        field: f.name.clone(),
+                        expected: *value,
+                        found,
+                    });
                 }
-                FieldKind::Enum { allowed, .. } => {
-                    let found = values.uint(&f.name)?;
-                    if !allowed.contains(&found) {
-                        return Err(DslError::InvalidEnumValue {
-                            field: f.name.clone(),
-                            value: found,
-                        });
-                    }
+                FieldKind::Enum { allowed, .. } if !allowed.contains(&found) => {
+                    return Err(DslError::InvalidEnumValue {
+                        field: f.name.clone(),
+                        value: found,
+                    });
                 }
                 FieldKind::Length {
                     coverage,
@@ -925,9 +1119,9 @@ impl PacketSpec {
                     bias,
                     ..
                 } => {
-                    let covered = self.covered_len(coverage, &layout, frame.len()) as u64;
+                    let covered = s.cover(self, coverage, frame.len()) as u64;
                     let expect = (covered / unit) as i64 + bias;
-                    let found = values.uint(&f.name)? as i64;
+                    let found = found as i64;
                     if found != expect {
                         return Err(DslError::LengthFieldMismatch {
                             field: f.name.clone(),
@@ -936,20 +1130,17 @@ impl PacketSpec {
                         });
                     }
                 }
-                FieldKind::Checksum { kind, coverage } => {
-                    let input = self.checksum_input(i, coverage, &layout, frame);
-                    let computed = kind.compute(&input);
-                    let found = values.uint(&f.name)?;
-                    if computed != found {
-                        return Err(DslError::ChecksumFailed {
-                            field: f.name.clone(),
-                        });
-                    }
+                FieldKind::Checksum { kind, coverage }
+                    if s.checksum(self, i, *kind, coverage, frame) != found =>
+                {
+                    return Err(DslError::ChecksumFailed {
+                        field: f.name.clone(),
+                    });
                 }
                 _ => {}
             }
         }
-        Ok((values, layout))
+        Ok(())
     }
 
     /// Renders the fixed-width prefix of the spec as an RFC-style ASCII
@@ -1067,6 +1258,48 @@ mod tests {
         let decoded = spec.decode(&frame).unwrap();
         assert_eq!(decoded.uint("seq").unwrap(), 7);
         assert_eq!(decoded.bytes("data").unwrap(), b"hello");
+    }
+
+    #[test]
+    fn decode_with_nests_and_borrows_from_the_frame() {
+        let spec = arq_spec();
+        let frame = |seq: u64, data: &[u8]| {
+            let mut v = spec.value();
+            v.set("seq", Value::Uint(seq));
+            v.set("data", Value::from(data));
+            spec.encode(&v).unwrap()
+        };
+        let outer = frame(1, &frame(2, b"in"));
+        let read = spec.decode_with(&outer, |fields| {
+            let inner = spec.decode_with(fields.bytes("data")?, |inner| {
+                Ok((inner.uint("seq")?, inner.bytes("data")?))
+            })?;
+            // The outer view still reads its own frame after the nested walk.
+            Ok((fields.uint("seq")?, inner))
+        });
+        assert_eq!(read, Ok((1, (2, &b"in"[..]))));
+        assert_eq!(
+            spec.decode_with(&outer, |fields| fields.uint("ghost")),
+            Err(DslError::MissingField {
+                field: "ghost".into()
+            })
+        );
+        assert_eq!(
+            spec.decode_with(&outer, |fields| fields.uint("data")),
+            Err(DslError::WrongKind {
+                field: "data".into()
+            })
+        );
+        let mut corrupt = outer.clone();
+        corrupt[2] ^= 1;
+        assert_eq!(
+            spec.decode_with(&corrupt, |_| -> Result<(), _> {
+                unreachable!("a rejected frame is never handed to the closure")
+            }),
+            Err(DslError::ChecksumFailed {
+                field: "chk".into()
+            })
+        );
     }
 
     #[test]

@@ -161,33 +161,21 @@ impl ArqFrame {
     ///
     /// As for [`ArqFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<ArqFrame, DslError> {
-        let to_frame = |kind: u64, seq: u64, payload: &[u8]| {
-            let seq = seq as u8;
-            match kind {
-                KIND_DATA => Ok(ArqFrame::Data {
-                    seq,
-                    payload: payload.to_vec(),
-                }),
-                KIND_ACK => Ok(ArqFrame::Ack { seq }),
-                other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                    field: "kind",
-                    value: other,
-                })),
-            }
+        let (kind, seq, payload) = match path {
+            FramePath::Interpreted => codec::interpreted_decode(arq_spec(), frame)?,
+            FramePath::Compiled => codec::compiled_decode(arq_codec(), frame)?,
         };
-        match path {
-            FramePath::Interpreted => {
-                let checked = arq_spec().decode(frame)?;
-                to_frame(
-                    checked.uint("kind")?,
-                    checked.uint("seq")?,
-                    checked.bytes("payload")?,
-                )
-            }
-            FramePath::Compiled => {
-                let (kind, seq, payload) = codec::compiled_decode(arq_codec(), frame)?;
-                to_frame(kind, seq, payload)
-            }
+        let seq = seq as u8;
+        match kind {
+            KIND_DATA => Ok(ArqFrame::Data {
+                seq,
+                payload: payload.to_vec(),
+            }),
+            KIND_ACK => Ok(ArqFrame::Ack { seq }),
+            other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
+                field: "kind",
+                value: other,
+            })),
         }
     }
 }

@@ -15,15 +15,18 @@
 //!
 //! [`ProtocolSpec::with_frame_path`]: netdsl_netsim::scenario::ProtocolSpec::with_frame_path
 //!
-//! Decoding borrows a thread-local scratch [`FieldView`], so the
-//! compiled hot path performs no steady-state allocation beyond the
-//! payload copy into the frame enum.
+//! Both paths encode from a stack table of borrowed values straight
+//! into the caller's (pooled) buffer, and decode into thread-local
+//! scratch — a [`FieldView`] for the compiled path, the walker's own
+//! for the interpreted one — handing back the payload borrowed from the
+//! frame. Neither allocates per frame in the steady state beyond the
+//! payload copy into a data frame's enum.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use netdsl_codec::{lower, CompiledCodec, FieldIx, FieldView};
-use netdsl_core::packet::{PacketSpec, Value};
+use netdsl_core::packet::{FieldRef, PacketSpec};
 
 /// A compiled suite wire format: the program plus the field indices the
 /// endpoints touch (`kind`, `seq`, `payload`), resolved once.
@@ -85,12 +88,17 @@ pub(crate) fn with_scratch_view<R>(f: impl FnOnce(&mut FieldView) -> R) -> R {
     SCRATCH.with(|view| f(&mut view.borrow_mut()))
 }
 
+/// Number of fields of both suite formats (`kind`, `seq`, `chk`,
+/// `payload`), which sizes the stack value tables of the two encoders.
+const SUITE_FIELDS: usize = 4;
+
 /// Interpretive encode of one suite frame (`kind`, `seq`, `payload`)
 /// into a caller-reused buffer (cleared first), by walking `spec` —
 /// the interpreted twin of [`compiled_encode_into`] and the one body
-/// behind every interpreted `ArqFrame`/`WindowFrame` encode. The walker
-/// returns an owned frame, which is copied into `out` so a pooled
-/// buffer keeps its capacity.
+/// behind every interpreted `ArqFrame`/`WindowFrame` encode. The values
+/// sit in a stack table indexed by [`PacketSpec::field_index`], and the
+/// walker writes straight into `out`, so a warm encode into a pooled
+/// buffer allocates nothing.
 pub(crate) fn interpreted_encode_into(
     spec: &PacketSpec,
     kind: u64,
@@ -98,19 +106,25 @@ pub(crate) fn interpreted_encode_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let mut v = spec.value();
-    v.set("kind", Value::Uint(kind));
-    v.set("seq", Value::Uint(seq));
-    v.set("payload", Value::Bytes(payload.to_vec()));
-    let frame = spec.encode(&v).expect("well-typed frame always encodes");
-    out.clear();
-    out.extend_from_slice(&frame);
+    let mut fields = [FieldRef::Absent; SUITE_FIELDS];
+    for (name, value) in [
+        ("kind", FieldRef::Uint(kind)),
+        ("seq", FieldRef::Uint(seq)),
+        ("payload", FieldRef::Bytes(payload)),
+    ] {
+        let i = spec
+            .field_index(name)
+            .unwrap_or_else(|| panic!("suite spec {:?} has a {name} field", spec.name()));
+        fields[i] = value;
+    }
+    spec.encode_fields_into(&fields, out)
+        .expect("well-typed frame always encodes");
 }
 
 /// Compiled encode of one suite frame into a caller-reused buffer
 /// (cleared first) — the body behind the pooled transmit path, where
-/// `out` is an arena buffer and the only remaining per-frame
-/// allocation is the codec's small indexed-values table.
+/// `out` is an arena buffer. The values sit in a stack table indexed by
+/// the codec's [`FieldIx`], so a warm encode allocates nothing.
 pub(crate) fn compiled_encode_into(
     suite: &SuiteCodec,
     kind: u64,
@@ -118,15 +132,35 @@ pub(crate) fn compiled_encode_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let mut values = suite.codec().values();
-    values
-        .set_uint(suite.kind, kind)
-        .set_uint(suite.seq, seq)
-        .set_bytes(suite.payload, payload);
+    let mut fields = [FieldRef::Absent; SUITE_FIELDS];
+    fields[usize::from(suite.kind)] = FieldRef::Uint(kind);
+    fields[usize::from(suite.seq)] = FieldRef::Uint(seq);
+    fields[usize::from(suite.payload)] = FieldRef::Bytes(payload);
     suite
         .codec()
-        .encode_into(&values, out)
+        .encode_fields_into(&fields, out)
         .expect("well-typed frame always encodes");
+}
+
+/// Interpretive decode of one suite frame, returning `(kind, seq,
+/// payload)` with the payload borrowed from `frame` — the interpreted
+/// twin of [`compiled_decode`], through the walker's fully validating
+/// [`PacketSpec::decode_with`].
+///
+/// # Errors
+///
+/// As for [`PacketSpec::decode`].
+pub(crate) fn interpreted_decode<'f>(
+    spec: &PacketSpec,
+    frame: &'f [u8],
+) -> Result<(u64, u64, &'f [u8]), netdsl_core::DslError> {
+    spec.decode_with(frame, |fields| {
+        Ok((
+            fields.uint("kind")?,
+            fields.uint("seq")?,
+            fields.bytes("payload")?,
+        ))
+    })
 }
 
 /// Compiled zero-copy decode of one suite frame, returning
@@ -157,6 +191,7 @@ mod tests {
     use super::*;
     use crate::arq::ArqFrame;
     use crate::window::WindowFrame;
+    use netdsl_core::packet::Value;
     use netdsl_core::DslError;
     use netdsl_netsim::scenario::FramePath;
     use proptest::prelude::*;

@@ -126,33 +126,21 @@ impl WindowFrame {
     ///
     /// As for [`WindowFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<WindowFrame, DslError> {
-        let to_frame = |kind: u64, seq: u64, payload: &[u8]| {
-            let seq = seq as u32;
-            match kind {
-                KIND_DATA => Ok(WindowFrame::Data {
-                    seq,
-                    payload: payload.to_vec(),
-                }),
-                KIND_ACK => Ok(WindowFrame::Ack { seq }),
-                other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                    field: "kind",
-                    value: other,
-                })),
-            }
+        let (kind, seq, payload) = match path {
+            FramePath::Interpreted => codec::interpreted_decode(window_spec(), frame)?,
+            FramePath::Compiled => codec::compiled_decode(window_codec(), frame)?,
         };
-        match path {
-            FramePath::Interpreted => {
-                let checked = window_spec().decode(frame)?;
-                to_frame(
-                    checked.uint("kind")?,
-                    checked.uint("seq")?,
-                    checked.bytes("payload")?,
-                )
-            }
-            FramePath::Compiled => {
-                let (kind, seq, payload) = codec::compiled_decode(window_codec(), frame)?;
-                to_frame(kind, seq, payload)
-            }
+        let seq = seq as u32;
+        match kind {
+            KIND_DATA => Ok(WindowFrame::Data {
+                seq,
+                payload: payload.to_vec(),
+            }),
+            KIND_ACK => Ok(WindowFrame::Ack { seq }),
+            other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
+                field: "kind",
+                value: other,
+            })),
         }
     }
 }
